@@ -26,7 +26,6 @@ from .durations import (
     from_baseline,
     log_pdf,
     priors_from_baselines,
-    sample,
 )
 from .experiment import (
     ExperimentRow,
@@ -39,7 +38,7 @@ from .experiment import (
     run_matrix,
     run_method,
 )
-from .metrics import AccuracyReport, accuracy_report, mae, rmse, scalar_rmse
+from .metrics import mae, rmse, scalar_rmse
 from .network import (
     CpmResult,
     ProjectNetwork,
@@ -48,7 +47,7 @@ from .network import (
     enumerate_paths,
 )
 from .psplib import PsplibInstance, canonical_sm, parse_sm, to_network
-from .rng import RngStream, normals, stream_key, uniforms
+from .rng import normals, stream_key, uniforms
 from .simulate import (
     ForecastResult,
     SimulationConfig,
@@ -58,7 +57,6 @@ from .simulate import (
 
 __all__ = [
     "__version__",
-    "AccuracyReport",
     "CpmResult",
     "DurationModel",
     "ExperimentRow",
@@ -72,11 +70,9 @@ __all__ = [
     "PriorHyper",
     "ProjectNetwork",
     "PsplibInstance",
-    "RngStream",
     "ScenarioConfig",
     "SIGMA_MIN",
     "SimulationConfig",
-    "accuracy_report",
     "build_network",
     "canonical_sm",
     "compute_cpm",
@@ -99,7 +95,6 @@ __all__ = [
     "rmse",
     "run_matrix",
     "run_method",
-    "sample",
     "scalar_rmse",
     "simulate",
     "stream_key",

@@ -42,10 +42,13 @@ _LOG_NODES = 65
 _LIN_NODES = 64
 
 # Box outside which the objective is treated as -inf; keeps exp() from
-# overflowing while Nelder-Mead explores.
+# overflowing while Nelder-Mead explores. _LOG_SPAN_MAX bounds the
+# exponents of the quadrature span exp(mu +- 6 sigma) and of the MAP mean
+# exp(mu + sigma^2/2); exp(700) is finite and exp(-700) nonzero.
 _MU_BOUND = 200.0
 _LOG_SIGMA_LO = -30.0
 _LOG_SIGMA_HI = 20.0
+_LOG_SPAN_MAX = 700.0
 
 _GRID_SIZE = 41  # fallback grid is 41 x 41
 
@@ -151,14 +154,16 @@ def _per_observation_log_likelihood(
     weights[:, 1:-1] = 0.5 * (nodes[:, 2:] - nodes[:, :-2])
     weights[:, 0] = 0.5 * (nodes[:, 1] - nodes[:, 0])
     weights[:, -1] = 0.5 * (nodes[:, -1] - nodes[:, -2])
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
 
     log_d = np.log(nodes)
     z_ln = (log_d - mu) / sigma
     log_lognormal = -log_d - math.log(sigma) - _LOG_SQRT_2PI - 0.5 * z_ln * z_ln
-    z_n = (values[:, None] - nodes) / noise[:, None]
-    log_normal = -np.log(noise)[:, None] - _LOG_SQRT_2PI - 0.5 * z_n * z_n
+    # Zero weights (duplicate nodes) and tiny noise sds (z_n^2 overflowing)
+    # both give terms of exactly -inf, which logsumexp drops.
+    with np.errstate(divide="ignore", over="ignore"):
+        log_w = np.log(weights)
+        z_n = (values[:, None] - nodes) / noise[:, None]
+        log_normal = -np.log(noise)[:, None] - _LOG_SQRT_2PI - 0.5 * z_n * z_n
     return logsumexp(log_normal + log_lognormal + log_w, axis=1)
 
 
@@ -181,6 +186,8 @@ def _objective(
 ) -> float:
     if abs(mu) > _MU_BOUND or not _LOG_SIGMA_LO <= log_sigma <= _LOG_SIGMA_HI:
         return -math.inf
+    if abs(mu) + 6.0 * math.exp(log_sigma) > _LOG_SPAN_MAX:
+        return -math.inf
     theta = LognormalParams(mu=mu, sigma=math.exp(log_sigma))
     return marginal_log_likelihood(theta, obs) + log_prior(theta, hyper)
 
@@ -194,6 +201,8 @@ def map_update(
     prior centers are then re-anchored at the new params (with unchanged
     taus) and the consumed observations are discarded. An empty batch
     returns the state unchanged: the prior's argmax is its own center.
+    Raises OptimizationFailed when the objective is non-finite everywhere
+    or the MAP mean duration exp(mu + sigma^2/2) would overflow.
     """
     obs = tuple(new_obs)
     _validate_records(obs)
@@ -220,6 +229,11 @@ def map_update(
             raise OptimizationFailed(
                 "MAP objective is non-finite at every probe point"
             )
+    if best_mu + 0.5 * math.exp(2.0 * best_log_sigma) > _LOG_SPAN_MAX:
+        raise OptimizationFailed(
+            f"MAP estimate mu={best_mu:.6g}, sigma={math.exp(best_log_sigma):.6g} "
+            "has a mean duration too large to represent"
+        )
 
     params = LognormalParams(
         mu=best_mu, sigma=max(math.exp(best_log_sigma), SIGMA_MIN)

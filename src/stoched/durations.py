@@ -14,10 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .errors import NonPositiveBaseline
-from .rng import RngStream
 
 # Lower bound on sigma: densities stay well-defined while sigma -> 0
 # approximates a deterministic activity.
@@ -78,25 +75,3 @@ def log_pdf(p: LognormalParams, x: float) -> float:
         return -math.inf
     z = (math.log(x) - p.mu) / p.sigma
     return -math.log(x) - math.log(p.sigma) - _LOG_SQRT_2PI - 0.5 * z * z
-
-
-def log_pdf_array(p: LognormalParams, x: np.ndarray) -> np.ndarray:
-    """Vectorized log_pdf over strictly positive x."""
-    log_x = np.log(x)
-    z = (log_x - p.mu) / p.sigma
-    return -log_x - math.log(p.sigma) - _LOG_SQRT_2PI - 0.5 * z * z
-
-
-def sample(model: DurationModel, stream: RngStream) -> float:
-    """One duration draw; frozen activities return their constant and do
-    not consume the stream."""
-    if isinstance(model, FrozenDuration):
-        return model.value
-    return math.exp(model.mu + model.sigma * stream.normal())
-
-
-def sample_block(model: DurationModel, stream: RngStream, count: int) -> np.ndarray:
-    """count draws from one activity's distribution."""
-    if isinstance(model, FrozenDuration):
-        return np.full(count, model.value)
-    return np.exp(model.mu + model.sigma * stream.normal_block(count))

@@ -9,13 +9,22 @@ against the realized completion time. Methods:
   deterministic_cpm     CPM on prior-mean durations, point forecast.
   static_mc             Monte Carlo on the priors, no updating.
   bayes_no_propagation  MAP updates, then CPM on posterior means (point).
-  full_framework        MAP updates plus Monte Carlo re-forecast per cycle.
+  full_framework        MAP updates, then Monte Carlo on the final posterior.
 
 Strategies deliver each activity's single observation in ground-truth
 earliest-finish order: none (no updates), periodic (4 batches),
-continuous (one cycle per observation). Ground truth and observations
-depend only on (seed, uncertainty, instance), never on strategy or
-method, so methods at one seed are scored against the same realization.
+continuous (one cycle per observation). Only the final forecast is
+scored, so full_framework simulates once, after the last cycle. Ground
+truth and observations depend only on (seed, uncertainty, instance),
+never on strategy or method, so methods at one seed are scored against
+the same realization. run_matrix computes each distinct MAP update and
+forecast once and shares it between the cells of an (instance,
+uncertainty, seed): static_mc and full_framework/none share the prior
+forecast, and bayes_no_propagation and full_framework share the updates.
+
+Known limitation: while each activity has a single observation, periodic
+and continuous reach the same posterior, so their rows are equal; the
+strategy axis only separates them once forecasts are scored mid-project.
 
 RMSE for sample-based forecasts is per-replicate deviation from the
 realized completion time; point forecasts are scored by absolute
@@ -212,14 +221,26 @@ def observation_batches(
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
+def _cached(cache: dict, key, compute):
+    """compute() once per key; later calls return the stored value."""
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
+
+
 def _apply_batch(
-    states: dict[int, PosteriorState], batch: Sequence[ObservationRecord]
+    states: dict[int, PosteriorState],
+    batch: Sequence[ObservationRecord],
+    cache: dict,
 ) -> None:
     grouped: dict[int, list[ObservationRecord]] = {}
     for record in batch:
         grouped.setdefault(record.activity, []).append(record)
     for activity, records in grouped.items():
-        states[activity] = map_update(states[activity], records)
+        state = states[activity]
+        states[activity] = _cached(
+            cache, (state, tuple(records)), lambda: map_update(state, records)
+        )
 
 
 def posterior_models(
@@ -237,12 +258,18 @@ def run_method(
     cfg: ScenarioConfig,
     workers: int = 1,
     instance_name: str = "",
+    cache: dict | None = None,
 ) -> tuple[ExperimentRow, ForecastResult | float]:
     """Score one method in one scenario.
 
     Returns the row plus the final forecast: a ForecastResult for
     sample-based methods, the point forecast for the deterministic ones.
+    cache holds map_update and simulate results keyed by their arguments;
+    run_matrix shares one across the cells of an (instance, uncertainty)
+    so equal calls are computed once. Without it a fresh one is used.
     """
+    if cache is None:
+        cache = {}
     baselines = np.asarray(baseline_durations, dtype=np.float64)
     priors = priors_from_baselines(baselines, cfg.sigma_duration)
     det_makespan = compute_cpm(net, baselines).completion_time
@@ -291,8 +318,23 @@ def run_method(
         store_samples=True,
     )
 
+    def forecast(models: list[DurationModel]) -> ForecastResult:
+        def compute() -> ForecastResult:
+            result = simulate(net, models, sim_cfg, workers)
+            # Cells share this result: read-only arrays keep one cell's
+            # on_result callback from changing another cell's row.
+            for array in (
+                result.samples,
+                result.critical_probability,
+                result.critical_counts,
+            ):
+                array.setflags(write=False)
+            return result
+
+        return _cached(cache, (tuple(models), sim_cfg), compute)
+
     if cfg.method == "static_mc":
-        result = simulate(net, priors, sim_cfg, workers)
+        result = forecast(priors)
         return sample_row(result), result
 
     observations = generate_observations(net, truth, baselines, cfg)
@@ -307,20 +349,17 @@ def run_method(
         if not is_frozen(priors[i])
     }
 
+    for batch in batches:
+        _apply_batch(states, batch, cache)
+    posterior = posterior_models(priors, states)
+
     if cfg.method == "bayes_no_propagation":
-        for batch in batches:
-            _apply_batch(states, batch)
-        post_means = [
-            expected_duration(m) for m in posterior_models(priors, states)
-        ]
+        post_means = [expected_duration(m) for m in posterior]
         point = compute_cpm(net, post_means).completion_time
         return point_row(float(point)), float(point)
 
     if cfg.method == "full_framework":
-        result = simulate(net, priors, sim_cfg, workers)
-        for batch in batches:
-            _apply_batch(states, batch)
-            result = simulate(net, posterior_models(priors, states), sim_cfg, workers)
+        result = forecast(posterior)
         return sample_row(result), result
 
     raise ConfigError(f"unknown method {cfg.method!r}")
@@ -337,14 +376,17 @@ def run_matrix(
     seeds, rows in that deterministic order.
 
     on_result, when given, is called with (row, forecast) after each cell
-    so callers can stream per-cell payloads (histograms) without the
-    matrix holding every sample array in memory.
+    so callers can stream per-cell payloads (histograms). Cells of one
+    (instance, uncertainty) share a cache of MAP updates and forecasts,
+    so every distinct forecast of it stays in memory until the loop
+    moves to the next uncertainty.
     """
     if not instances or not seeds:
         raise ConfigError("experiment needs at least one instance and one seed")
     rows = []
     for name, net, baselines in instances:
         for uncertainty in grid.uncertainties:
+            cache: dict = {}
             for strategy in grid.strategies:
                 for method in grid.methods:
                     for seed in seeds:
@@ -357,7 +399,12 @@ def run_matrix(
                             target_rule=grid.target_rule,
                         )
                         row, forecast = run_method(
-                            net, baselines, cfg, workers, instance_name=name
+                            net,
+                            baselines,
+                            cfg,
+                            workers,
+                            instance_name=name,
+                            cache=cache,
                         )
                         rows.append(row)
                         if on_result is not None:

@@ -2,27 +2,14 @@
 
 RMSE is the per-replicate root mean square deviation from the realized
 completion time, so for a sample-based forecast it blends estimator bias
-with distribution spread. That is deliberate; the report carries bias
-and sd separately so the two components can be told apart. Deterministic
-point forecasts are scored with scalar_rmse (absolute deviation), which
-equals rmse of a constant sample vector of any length.
+with distribution spread; that is deliberate. Deterministic point
+forecasts are scored with scalar_rmse (absolute deviation), which equals
+rmse of a constant sample vector of any length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class AccuracyReport:
-    rmse: float
-    mae: float
-    bias: float  # mean(samples) - t_true
-    sd: float  # population standard deviation of samples
-    ci90_width: float
-    delay_probability: float
 
 
 def rmse(samples, t_true: float) -> float:
@@ -38,19 +25,3 @@ def mae(samples, t_true: float) -> float:
 def scalar_rmse(point_forecast: float, t_true: float) -> float:
     """Deviation of a deterministic point forecast."""
     return abs(point_forecast - t_true)
-
-
-def accuracy_report(samples, t_true: float, target: float) -> AccuracyReport:
-    x = np.asarray(samples, dtype=np.float64)
-    mean = float(np.mean(x))
-    sd = float(np.sqrt(np.mean((x - mean) ** 2)))
-    bias = mean - t_true
-    q05, q95 = np.quantile(x, [0.05, 0.95])
-    return AccuracyReport(
-        rmse=rmse(x, t_true),
-        mae=mae(x, t_true),
-        bias=bias,
-        sd=sd,
-        ci90_width=float(q95 - q05),
-        delay_probability=float(np.count_nonzero(x > target) / x.shape[0]),
-    )

@@ -16,7 +16,6 @@ go through the inverse normal CDF.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -63,40 +62,3 @@ def uniforms(key: int, counters) -> np.ndarray:
 def normals(key: int, counters) -> np.ndarray:
     """Standard normal variates at the given counters."""
     return ndtri(uniforms(key, counters))
-
-
-def normal_grid(key: int, row_start: int, row_stop: int, n_cols: int) -> np.ndarray:
-    """Standard normals for rows [row_start, row_stop) of a conceptual grid.
-
-    Cell (k, i) is addressed by counter k*n_cols + i, so any row chunking
-    reproduces the same values. Used for per-(replicate, activity) draws.
-    """
-    rows = np.arange(row_start, row_stop, dtype=np.uint64)[:, None]
-    cols = np.arange(n_cols, dtype=np.uint64)[None, :]
-    return normals(key, rows * np.uint64(n_cols) + cols)
-
-
-@dataclass
-class RngStream:
-    """A sequentially consumed view of a counter-based stream.
-
-    ``position`` is the next counter to consume; two streams with the same
-    key and position produce identical draws forever.
-    """
-
-    key: int
-    position: int = field(default=0)
-
-    @classmethod
-    def from_tokens(cls, seed: int, *tokens) -> "RngStream":
-        return cls(stream_key(seed, *tokens))
-
-    def normal(self) -> float:
-        z = float(normals(self.key, np.array([self.position], dtype=np.uint64))[0])
-        self.position += 1
-        return z
-
-    def normal_block(self, count: int) -> np.ndarray:
-        c = np.arange(self.position, self.position + count, dtype=np.uint64)
-        self.position += count
-        return normals(self.key, c)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import warnings
 
 import pytest
 
@@ -209,6 +211,29 @@ def test_update_out_directory_lists_both_inputs(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "update"
     assert set(manifest["inputs"]) == {J30, str(obs)}
+
+
+def test_update_overflowing_observation_is_numerical_failure(tmp_path, capsys):
+    # No lognormal inside the optimizer's box explains 1e308, so the MAP
+    # runs to the box edge, where the posterior mean is not representable.
+    obs = tmp_path / "obs.txt"
+    obs.write_text("4 1e308 1e300\n")
+    code, out, err = run_cli(capsys, "update", J30, str(obs), "--n", "10")
+    assert code == EXIT_NUMERIC
+    assert err.startswith("error:") and "too large" in err
+    assert out == ""
+
+
+def test_update_tiny_noise_sd_runs_without_warnings(tmp_path, capsys):
+    obs = tmp_path / "obs.txt"
+    obs.write_text("4 6.0 1e-300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = stdout_json(
+            capsys, "update", J30, str(obs), "--n", "100", "--threads", "1"
+        )
+    assert payload["observation_counts"][4] == 1
+    assert all(math.isfinite(d) for d in payload["posterior_expected_durations"])
 
 
 # ---------------------------------------------------------------- experiment

@@ -16,13 +16,10 @@ from stoched.durations import (
     from_baseline,
     is_frozen,
     log_pdf,
-    log_pdf_array,
     priors_from_baselines,
-    sample,
-    sample_block,
 )
 from stoched.errors import NonPositiveBaseline
-from stoched.rng import RngStream, stream_key
+from stoched.rng import normals, stream_key
 
 
 def test_prior_mean_equals_baseline_exactly():
@@ -80,40 +77,9 @@ def test_log_pdf_out_of_support():
     assert log_pdf(p, -2.0) == -math.inf
 
 
-def test_log_pdf_array_agrees_with_scalar():
-    p = LognormalParams(1.7, 0.4)
-    xs = np.array([0.2, 1.0, 5.5, 19.0])
-    vec = log_pdf_array(p, xs)
-    for x, v in zip(xs, vec):
-        assert v == pytest.approx(log_pdf(p, float(x)), abs=1e-12)
-
-
-def test_sample_block_matches_sequential_samples():
-    p = from_baseline(6.0, 0.4)
-    singles = [sample(p, RngStream(stream_key(99, "dur"))) for _ in range(1)]
-    stream_a = RngStream(stream_key(99, "dur"))
-    stream_b = RngStream(stream_key(99, "dur"))
-    block = sample_block(p, stream_a, 12)
-    seq = np.array([sample(p, stream_b) for _ in range(12)])
-    assert np.array_equal(block, seq)
-    assert singles[0] == block[0]
-
-
-def test_frozen_sampling_is_constant_and_consumes_no_randomness():
-    frozen = FrozenDuration(0.0)
-    live = from_baseline(3.0, 0.3)
-    stream_a = RngStream(stream_key(4, "x"))
-    stream_b = RngStream(stream_key(4, "x"))
-    assert sample(frozen, stream_a) == 0.0
-    # the frozen draw must not advance the stream: the next live draw
-    # matches a fresh stream's first draw
-    assert sample(live, stream_a) == sample(live, stream_b)
-    assert np.all(sample_block(frozen, stream_a, 5) == 0.0)
-
-
 def test_sample_mean_approaches_baseline():
     p = from_baseline(10.0, 0.5)
-    draws = sample_block(p, RngStream(stream_key(11, "m")), 200_000)
+    draws = np.exp(p.mu + p.sigma * normals(stream_key(11, "m"), np.arange(200_000)))
     se = 10.0 * math.sqrt(math.exp(0.25) - 1.0) / math.sqrt(200_000)
     assert abs(draws.mean() - 10.0) < 4 * se
     assert np.all(draws > 0)

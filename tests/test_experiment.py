@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import stoched.experiment
 from conftest import diamond, read_fixture
 from stoched.bayes import ObservationRecord, make_initial_state, map_update
 from stoched.durations import is_frozen, priors_from_baselines
@@ -353,6 +354,114 @@ def test_run_matrix_row_order_and_callback():
             assert isinstance(forecast, ForecastResult)
     assert all(r.wall_time_ms == 0.0 for r in rows)
     assert all(r.instance_name == "d" for r in rows)
+
+
+def _count_calls(monkeypatch, names=("simulate", "map_update")) -> dict:
+    """Wrap the experiment module's simulate and map_update with counters."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(stoched.experiment, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stoched.experiment, name, counted)
+    return counts
+
+
+def _same_forecast(a, b) -> bool:
+    if isinstance(a, float) or isinstance(b, float):
+        return type(a) is type(b) and a == b
+    return (
+        a.expected_completion == b.expected_completion
+        and a.completion_variance == b.completion_variance
+        and a.delay_probability == b.delay_probability
+        and a.quantiles == b.quantiles
+        and a.ci90_width == b.ci90_width
+        and np.array_equal(a.critical_probability, b.critical_probability)
+        and np.array_equal(a.critical_counts, b.critical_counts)
+        and np.array_equal(a.samples, b.samples)
+    )
+
+
+SHARED_GRID = GridConfig(
+    uncertainties=("low", "high"),
+    strategies=STRATEGIES,
+    methods=METHODS,
+    replicate_count=200,
+)
+SHARED_SEEDS = (21, 22)
+
+
+@pytest.fixture(scope="module")
+def shared_matrix(j30):
+    """run_matrix on j30 with simulate/map_update calls counted per
+    (uncertainty, seed): the calls made since the previous cell belong
+    to the cell that on_result reports next."""
+    net, baselines = j30
+    cells = []
+    per_seed: dict[tuple[str, int], dict] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _count_calls(mp)
+        seen = dict(counts)
+
+        def on_result(row, forecast):
+            cells.append((row, forecast))
+            tally = per_seed.setdefault(
+                (row.uncertainty, row.seed), dict.fromkeys(counts, 0)
+            )
+            for name in counts:
+                tally[name] += counts[name] - seen[name]
+                seen[name] = counts[name]
+
+        rows = run_matrix(
+            [("j30", net, baselines)], SHARED_GRID, SHARED_SEEDS, on_result=on_result
+        )
+    return rows, cells, per_seed
+
+
+def test_run_matrix_equals_independent_cells(j30, shared_matrix):
+    net, baselines = j30
+    rows, cells, _ = shared_matrix
+    assert len(rows) == 2 * 3 * 4 * 2
+    assert [row for row, _ in cells] == rows
+    for row, forecast in cells:
+        cfg = make_scenario(
+            row.uncertainty,
+            row.strategy,
+            row.method,
+            row.seed,
+            replicate_count=SHARED_GRID.replicate_count,
+        )
+        alone_row, alone_forecast = run_method(net, baselines, cfg, instance_name="j30")
+        assert alone_row == row
+        assert _same_forecast(alone_forecast, forecast), (row.method, row.strategy)
+        if isinstance(forecast, ForecastResult):
+            # shared between cells, so no callback may write into it
+            assert not forecast.samples.flags.writeable
+    assert csv_lines(rows) == csv_lines([row for row, _ in cells])
+
+
+def test_run_matrix_computes_each_seed_once(j30, shared_matrix):
+    _, baselines = j30
+    _, _, per_seed = shared_matrix
+    observed = int(np.count_nonzero(baselines > 0))
+    assert sorted(per_seed) == [
+        (u, s) for u in sorted(SHARED_GRID.uncertainties) for s in SHARED_SEEDS
+    ]
+    for tally in per_seed.values():
+        # one prior forecast (static_mc, full_framework/none) and one
+        # posterior forecast (periodic and continuous agree)
+        assert tally["simulate"] == 2
+        assert tally["map_update"] == observed
+
+
+def test_full_framework_simulates_only_the_final_posterior(monkeypatch):
+    counts = _count_calls(monkeypatch)
+    cfg = make_scenario("moderate", "continuous", "full_framework", seed=4, replicate_count=50)
+    run_method(diamond(), DIAMOND_BASELINES, cfg, instance_name="d")
+    assert counts == {"simulate": 1, "map_update": len(DIAMOND_BASELINES)}
 
 
 def test_run_matrix_requires_inputs():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from stoched.metrics import AccuracyReport, accuracy_report, mae, rmse, scalar_rmse
+from stoched.metrics import mae, rmse, scalar_rmse
 
 
 def test_rmse_and_mae_by_formula():
@@ -56,25 +56,3 @@ def test_rmse_dominates_absolute_bias():
         t = float(rng.uniform(0.0, 25.0))
         bias = abs(float(samples.mean()) - t)
         assert rmse(samples, t) >= bias - 1e-12
-
-
-def test_accuracy_report_fields():
-    samples = np.array([8.0, 9.0, 11.0, 12.0])
-    rep = accuracy_report(samples, t_true=10.0, target=10.0)
-    assert isinstance(rep, AccuracyReport)
-    assert rep.rmse == pytest.approx(math.sqrt((4 + 1 + 1 + 4) / 4))
-    assert rep.mae == pytest.approx(1.5)
-    assert rep.bias == pytest.approx(0.0)
-    assert rep.sd == pytest.approx(float(samples.std(ddof=0)))
-    q05, q95 = np.quantile(samples, [0.05, 0.95])
-    assert rep.ci90_width == pytest.approx(float(q95 - q05))
-    # strictly-greater convention: 11 and 12 exceed the target of 10
-    assert rep.delay_probability == pytest.approx(0.5)
-
-
-def test_accuracy_report_degenerate_sample():
-    rep = accuracy_report([7.0], t_true=7.0, target=7.0)
-    assert rep.rmse == 0.0
-    assert rep.sd == 0.0
-    assert rep.ci90_width == 0.0
-    assert rep.delay_probability == 0.0

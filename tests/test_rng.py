@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from stoched.rng import RngStream, normal_grid, normals, stream_key, uniforms
+from stoched.rng import normals, stream_key, uniforms
 
 
 def test_stream_key_is_deterministic_and_token_sensitive():
@@ -40,23 +40,3 @@ def test_distinct_keys_decorrelate():
     c = normals(stream_key(11, "y"), counters)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
     assert abs(np.corrcoef(a, c)[0, 1]) < 0.02
-
-
-def test_normal_grid_matches_flat_addressing_and_chunking():
-    key = stream_key(3, "grid")
-    full = normal_grid(key, 0, 20, 7)
-    assert full.shape == (20, 7)
-    flat = normals(key, np.arange(20 * 7)).reshape(20, 7)
-    assert np.array_equal(full, flat)
-    parts = np.vstack([normal_grid(key, a, a + 5, 7) for a in range(0, 20, 5)])
-    assert np.array_equal(full, parts)
-
-
-def test_rng_stream_sequential_matches_block():
-    a = RngStream.from_tokens(9, "s")
-    b = RngStream.from_tokens(9, "s")
-    singles = np.array([a.normal() for _ in range(16)])
-    block = b.normal_block(16)
-    assert np.array_equal(singles, block)
-    # the streams advanced identically, so the next draw agrees too
-    assert a.normal() == b.normal()
