@@ -2,7 +2,11 @@
 
 Subcommands: parse (instance summary), forecast (prior Monte Carlo
 forecast), update (Bayesian updates from an observation file, then
-forecast), experiment (scenario matrix from a config file).
+forecast), experiment (scenario matrix from a config file). forecast and
+update share one handler: an update is the forecast run from the MAP
+posterior, and a forecast is an update with no observations. Only update
+reads an observation file, and its manifest lists that file as a second
+input.
 
 stdout carries machine-readable JSON payloads only; diagnostics go to
 stderr. Exit codes: 0 success, 2 usage or config error (including
@@ -44,6 +48,7 @@ from .experiment import (
     histogram_csv,
     jsonl_lines,
     median_rmse_by_method,
+    posterior_models,
     run_matrix,
 )
 from .network import compute_cpm
@@ -97,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="observation file: 'activity observed noise_sd' per line",
     )
     _add_forecast_flags(p_update)
-    p_update.set_defaults(handler=cmd_update)
+    p_update.set_defaults(handler=cmd_forecast)
 
     p_exp = sub.add_parser("experiment", help="run a scenario matrix")
     p_exp.add_argument("config", help="key = value experiment config file")
@@ -229,92 +234,9 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _forecast_payload(
-    name: str,
-    job_count: int,
-    sigma: float,
-    n: int,
-    seed: int,
-    target: float,
-    result: ForecastResult,
-    prior_expected: list[float],
-    posterior_expected: list[float],
-    observation_counts: list[int],
-) -> dict:
-    return {
-        "instance": name,
-        "jobs": job_count,
-        "sigma": sigma,
-        "replicates": n,
-        "seed": seed,
-        "target": target,
-        "expected_completion": result.expected_completion,
-        "completion_variance": result.completion_variance,
-        "delay_probability": result.delay_probability,
-        "ci90_width": result.ci90_width,
-        "quantiles": {str(level): q for level, q in result.quantiles.items()},
-        "critical_probability": [float(p) for p in result.critical_probability],
-        "critical_counts": [int(c) for c in result.critical_counts],
-        "prior_expected_durations": prior_expected,
-        "posterior_expected_durations": posterior_expected,
-        "observation_counts": observation_counts,
-    }
-
-
-def _emit_result_files(
-    args, command: str, payload: dict, result: ForecastResult, inputs: list[str]
-) -> None:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "result.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
-    (out_dir / "histogram.csv").write_text(histogram_csv(result.samples))
-    config = {
-        "sigma": payload["sigma"],
-        "n": payload["replicates"],
-        "seed": payload["seed"],
-        "target": payload["target"],
-    }
-    _write_manifest(out_dir, command, config, args.seed, inputs)
-
-
 def cmd_forecast(args) -> int:
-    name, inst, net, baselines = _load_instance(args.path)
-    sigma = _resolve_sigma(args.sigma)
-    n = _check_replicates(args.n)
-    workers = _resolve_threads(args.threads)
-    priors = priors_from_baselines(baselines, sigma)
-    det = compute_cpm(net, baselines).completion_time
-    target = _resolve_target(args.target, det)
-    result = simulate(
-        net,
-        priors,
-        SimulationConfig(
-            replicate_count=n, seed=args.seed, target_completion=target
-        ),
-        workers,
-    )
-    expected = [expected_duration(m) for m in priors]
-    payload = _forecast_payload(
-        name,
-        inst.job_count,
-        sigma,
-        n,
-        args.seed,
-        target,
-        result,
-        expected,
-        expected,
-        [0] * net.activity_count,
-    )
-    _print_json(payload)
-    if args.out:
-        _emit_result_files(args, "forecast", payload, result, [args.path])
-    return EXIT_OK
-
-
-def cmd_update(args) -> int:
+    """forecast and update: an update is the forecast run from the MAP
+    posterior of its observations, so forecast is an update with none."""
     name, inst, net, baselines = _load_instance(args.path)
     sigma = _resolve_sigma(args.sigma)
     n = _check_replicates(args.n)
@@ -323,29 +245,29 @@ def cmd_update(args) -> int:
     det = compute_cpm(net, baselines).completion_time
     target = _resolve_target(args.target, det)
 
-    records = parse_observation_text(_read_text(args.observations))
+    inputs = [args.path]
     grouped: dict[int, list] = {}
-    for lineno, record in records:
-        if record.activity >= net.activity_count:
-            raise UnknownActivityIndex(
-                f"{args.observations} line {lineno}: activity {record.activity} "
-                f"outside 0..{net.activity_count - 1}"
-            )
-        if baselines[record.activity] == 0:
-            raise UnknownActivityIndex(
-                f"{args.observations} line {lineno}: activity {record.activity} "
-                "is a frozen dummy and cannot be observed"
-            )
-        grouped.setdefault(record.activity, []).append(record)
+    if args.command == "update":
+        inputs.append(args.observations)
+        records = parse_observation_text(_read_text(args.observations))
+        for lineno, record in records:
+            if record.activity >= net.activity_count:
+                raise UnknownActivityIndex(
+                    f"{args.observations} line {lineno}: activity {record.activity} "
+                    f"outside 0..{net.activity_count - 1}"
+                )
+            if baselines[record.activity] == 0:
+                raise UnknownActivityIndex(
+                    f"{args.observations} line {lineno}: activity {record.activity} "
+                    "is a frozen dummy and cannot be observed"
+                )
+            grouped.setdefault(record.activity, []).append(record)
 
     states = {
         activity: map_update(make_initial_state(priors[activity]), recs)
         for activity, recs in grouped.items()
     }
-    posterior = [
-        states[i].params if i in states else priors[i]
-        for i in range(net.activity_count)
-    ]
+    posterior = posterior_models(priors, states)
     result = simulate(
         net,
         posterior,
@@ -354,23 +276,36 @@ def cmd_update(args) -> int:
         ),
         workers,
     )
-    payload = _forecast_payload(
-        name,
-        inst.job_count,
-        sigma,
-        n,
-        args.seed,
-        target,
-        result,
-        [expected_duration(m) for m in priors],
-        [expected_duration(m) for m in posterior],
-        [len(grouped.get(i, ())) for i in range(net.activity_count)],
-    )
+    payload = {
+        "instance": name,
+        "jobs": inst.job_count,
+        "sigma": sigma,
+        "replicates": n,
+        "seed": args.seed,
+        "target": target,
+        "expected_completion": result.expected_completion,
+        "completion_variance": result.completion_variance,
+        "delay_probability": result.delay_probability,
+        "ci90_width": result.ci90_width,
+        "quantiles": {str(level): q for level, q in result.quantiles.items()},
+        "critical_probability": [float(p) for p in result.critical_probability],
+        "critical_counts": [int(c) for c in result.critical_counts],
+        "prior_expected_durations": [expected_duration(m) for m in priors],
+        "posterior_expected_durations": [expected_duration(m) for m in posterior],
+        "observation_counts": [
+            len(grouped.get(i, ())) for i in range(net.activity_count)
+        ],
+    }
     _print_json(payload)
     if args.out:
-        _emit_result_files(
-            args, "update", payload, result, [args.path, args.observations]
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "result.json").write_text(
+            json.dumps(payload, sort_keys=True, indent=2) + "\n"
         )
+        (out_dir / "histogram.csv").write_text(histogram_csv(result.samples))
+        config = {"sigma": sigma, "n": n, "seed": args.seed, "target": target}
+        _write_manifest(out_dir, args.command, config, args.seed, inputs)
     return EXIT_OK
 
 

@@ -315,7 +315,6 @@ def run_method(
         replicate_count=cfg.replicate_count,
         seed=stream_key(cfg.seed, "mc"),
         target_completion=target,
-        store_samples=True,
     )
 
     def forecast(models: list[DurationModel]) -> ForecastResult:

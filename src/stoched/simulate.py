@@ -31,7 +31,6 @@ class SimulationConfig:
     replicate_count: int
     seed: int
     target_completion: float
-    store_samples: bool = True
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class ForecastResult:
     delay_probability: float  # P(T > target), strict inequality
     critical_probability: np.ndarray  # (n,)
     critical_counts: np.ndarray  # (n,) int64
-    samples: np.ndarray | None  # (N,) when stored
+    samples: np.ndarray  # (N,)
     quantiles: dict[float, float]
     ci90_width: float
 
@@ -61,18 +60,6 @@ def simulate(
     if cfg.replicate_count < 1:
         raise ValueError(f"replicate_count must be >= 1, got {cfg.replicate_count}")
 
-    frozen = np.array([isinstance(m, FrozenDuration) for m in per_activity])
-    base = np.array(
-        [
-            m.value if isinstance(m, FrozenDuration) else 0.0
-            for m in per_activity
-        ]
-    )
-    active = np.flatnonzero(~frozen)
-    mu = np.array([per_activity[i].mu for i in active])
-    sigma = np.array([per_activity[i].sigma for i in active])
-
-    key = stream_key(cfg.seed, "sim")
     n_rep = cfg.replicate_count
     samples = np.empty(n_rep)
     chunk_bounds = [
@@ -82,14 +69,7 @@ def simulate(
 
     def run_chunk(index: int) -> None:
         a, b = chunk_bounds[index]
-        durations = np.broadcast_to(base, (b - a, n)).copy()
-        if active.size:
-            # Draw cell (k, i) at counter k*n + i: addressing by absolute
-            # replicate and activity keeps chunking out of the results.
-            rows = np.arange(a, b, dtype=np.uint64)[:, None]
-            cols = active.astype(np.uint64)[None, :]
-            z = normals(key, rows * np.uint64(n) + cols)
-            durations[:, active] = np.exp(mu + sigma * z)
+        durations = sample_duration_matrix(net, per_activity, cfg.seed, a, b)
         batch = cpm_batch(net, durations)
         samples[a:b] = batch.completion_time
         chunk_counts[index] = batch.critical_mask.sum(axis=0, dtype=np.int64)
@@ -115,7 +95,7 @@ def simulate(
         delay_probability=delay_probability_from(samples, cfg.target_completion),
         critical_probability=counts / n_rep,
         critical_counts=counts,
-        samples=samples if cfg.store_samples else None,
+        samples=samples,
         quantiles=quantiles,
         ci90_width=float(quantiles[0.95] - quantiles[0.05]),
     )
@@ -134,20 +114,29 @@ def sample_duration_matrix(
     row_start: int,
     row_stop: int,
 ) -> np.ndarray:
-    """The exact duration draws simulate() uses for the given replicates.
+    """Duration draws of replicates row_start..row_stop-1, one row each.
 
-    Exposed so equivalence checks can re-derive per-replicate completion
-    times through an independent path computation on identical inputs.
+    Cell (k, i) is drawn at counter k*n + i of the seed's "sim" stream:
+    addressing by absolute replicate and activity keeps chunking out of
+    the results. Frozen activities keep their constant and use no draws.
     """
     n = net.activity_count
-    frozen = [isinstance(m, FrozenDuration) for m in per_activity]
-    key = stream_key(seed, "sim")
-    out = np.empty((row_stop - row_start, n))
-    for col, model in enumerate(per_activity):
-        if frozen[col]:
-            out[:, col] = model.value
-        else:
-            rows = np.arange(row_start, row_stop, dtype=np.uint64)
-            z = normals(key, rows * np.uint64(n) + np.uint64(col))
-            out[:, col] = np.exp(model.mu + model.sigma * z)
-    return out
+    frozen = np.array(
+        [isinstance(m, FrozenDuration) for m in per_activity], dtype=bool
+    )
+    base = np.array(
+        [
+            m.value if isinstance(m, FrozenDuration) else 0.0
+            for m in per_activity
+        ]
+    )
+    durations = np.broadcast_to(base, (row_stop - row_start, n)).copy()
+    active = np.flatnonzero(~frozen)
+    if active.size:
+        mu = np.array([per_activity[i].mu for i in active])
+        sigma = np.array([per_activity[i].sigma for i in active])
+        rows = np.arange(row_start, row_stop, dtype=np.uint64)[:, None]
+        cols = active.astype(np.uint64)[None, :]
+        z = normals(stream_key(seed, "sim"), rows * np.uint64(n) + cols)
+        durations[:, active] = np.exp(mu + sigma * z)
+    return durations

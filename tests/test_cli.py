@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -100,10 +101,16 @@ def test_forecast_threads_do_not_change_output(capsys):
     assert a == b
 
 
-def test_forecast_out_directory_artifacts(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["forecast", "update"])
+def test_forecast_out_directory_artifacts(tmp_path, capsys, command):
+    inputs = [J30]
+    if command == "update":
+        obs = tmp_path / "obs.txt"
+        obs.write_text("2 5.5 0.3\n")
+        inputs.append(str(obs))
     out = tmp_path / "fc"
     payload = stdout_json(
-        capsys, "forecast", J30, "--n", "250", "--seed", "3", "--threads", "1", "--out", str(out)
+        capsys, command, *inputs, "--n", "250", "--seed", "3", "--threads", "1", "--out", str(out)
     )
     result = json.loads((out / "result.json").read_text())
     assert result == payload
@@ -111,11 +118,12 @@ def test_forecast_out_directory_artifacts(tmp_path, capsys):
     assert hist[0] == "bin_left,bin_right,count"
     assert sum(int(line.split(",")[2]) for line in hist[1:]) == 250
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "forecast"
+    assert manifest["command"] == command
     assert manifest["master_seed"] == 3
     assert manifest["config"] == {"sigma": 0.3, "n": 250, "seed": 3, "target": 56.0}
-    digest = hashlib.sha256((FIXTURE_DIR / "j30_fix_a.sm").read_bytes()).hexdigest()
-    assert manifest["inputs"] == {J30: digest}
+    assert manifest["inputs"] == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
+    }
     assert "timestamp_utc" in manifest and "tool_version" in manifest
 
 
@@ -199,18 +207,6 @@ def test_update_malformed_observation_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "update", J30, str(obs), "--n", "10")
     assert code == EXIT_INPUT
     assert "line 1" in err
-
-
-def test_update_out_directory_lists_both_inputs(tmp_path, capsys):
-    obs = tmp_path / "obs.txt"
-    obs.write_text("2 5.5 0.3\n")
-    out = tmp_path / "upd"
-    stdout_json(
-        capsys, "update", J30, str(obs), "--n", "100", "--threads", "1", "--out", str(out)
-    )
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "update"
-    assert set(manifest["inputs"]) == {J30, str(obs)}
 
 
 def test_update_overflowing_observation_is_numerical_failure(tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_JOB_COUNTS, read_fixture
+from conftest import FIXTURE_DIR, FIXTURE_JOB_COUNTS, read_fixture
 from stoched.errors import (
     CycleDetected,
     JobCountMismatch,
@@ -20,6 +22,17 @@ from stoched.psplib import (
     real_activity_count,
     to_network,
 )
+
+
+def test_fixture_generator_reproduces_committed_fixtures(tmp_path):
+    script = FIXTURE_DIR.parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIXTURE_JOB_COUNTS)
+    for name in FIXTURE_JOB_COUNTS:
+        assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name,jobs", sorted(FIXTURE_JOB_COUNTS.items()))

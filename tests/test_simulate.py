@@ -1,8 +1,10 @@
 """Monte Carlo completion forecasts: oracle equivalence and determinism.
 
 The per-replicate completion values are cross-checked against an
-independent route: the exact duration draws exposed by
-sample_duration_matrix pushed through explicit path enumeration.
+independent route: the duration draws of sample_duration_matrix, the
+function simulate() draws through, pushed through explicit path
+enumeration. The draws themselves are checked against their counter
+addresses on the rng stream.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from stoched.durations import FrozenDuration, from_baseline, priors_from_baselin
 from stoched.errors import LengthMismatch
 from stoched.network import build_network, cpm_batch
 from stoched.psplib import parse_sm, to_network
+from stoched.rng import normals, stream_key
 from stoched.simulate import (
     QUANTILE_LEVELS,
-    ForecastResult,
     SimulationConfig,
     delay_probability_from,
     sample_duration_matrix,
@@ -108,6 +110,7 @@ def test_critical_counts_consistent_and_contain_a_path():
     draws = sample_duration_matrix(net, per_activity, seed=31, row_start=0, row_stop=200)
     batch = cpm_batch(net, draws)
     assert np.array_equal(r.critical_counts, batch.critical_mask.sum(axis=0))
+    assert np.array_equal(r.samples, batch.completion_time)
 
 
 def test_dummy_endpoints_always_critical_on_parsed_instance():
@@ -133,23 +136,6 @@ def test_quantiles_ordered_and_ci90_matches():
         assert r.quantiles[level] == pytest.approx(float(value))
 
 
-def test_store_samples_off_preserves_statistics():
-    net = diamond()
-    per_activity = priors_from_baselines([2.0, 3.0, 5.0, 2.0], 0.4)
-    kwargs = dict(replicate_count=1500, seed=21, target_completion=9.5)
-    with_samples = simulate(net, per_activity, SimulationConfig(**kwargs))
-    without = simulate(
-        net, per_activity, SimulationConfig(**kwargs, store_samples=False)
-    )
-    assert without.samples is None
-    assert isinstance(with_samples, ForecastResult)
-    assert without.expected_completion == with_samples.expected_completion
-    assert without.completion_variance == with_samples.completion_variance
-    assert without.delay_probability == with_samples.delay_probability
-    assert without.quantiles == with_samples.quantiles
-    assert np.array_equal(without.critical_counts, with_samples.critical_counts)
-
-
 def test_frozen_activities_do_not_perturb_live_draw_alignment():
     # replacing a lognormal activity by a frozen one must not shift the
     # draws of the remaining activities (counter-based per-cell streams)
@@ -161,6 +147,11 @@ def test_frozen_activities_do_not_perturb_live_draw_alignment():
     assert np.array_equal(a[:, 0], b[:, 0])
     assert np.array_equal(a[:, 2], b[:, 2])
     assert np.all(b[:, 1] == 5.0)
+    # every live cell (k, i) is the draw at counter k*n + i of the "sim" stream
+    key = stream_key(9, "sim")
+    for k, i in [(0, 0), (0, 2), (7, 1), (19, 2)]:
+        z = normals(key, [k * 3 + i])
+        assert a[k, i] == np.exp(live[i].mu + live[i].sigma * z)[0]
 
 
 def test_input_validation():
