@@ -31,7 +31,7 @@ from .experiment import (
     ExperimentRow,
     GridConfig,
     GroundTruth,
-    ScenarioConfig,
+    Scenario,
     generate_ground_truth,
     generate_observations,
     make_scenario,
@@ -70,7 +70,7 @@ __all__ = [
     "PriorHyper",
     "ProjectNetwork",
     "PsplibInstance",
-    "ScenarioConfig",
+    "Scenario",
     "SIGMA_MIN",
     "SimulationConfig",
     "build_network",

@@ -139,8 +139,9 @@ def _resolve_sigma(text: str) -> float:
         raise ConfigError(
             f"--sigma must be low|moderate|high or a float, got {text!r}"
         ) from None
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"--sigma must be > 0, got {text}")
+    # mu = ln d - sigma^2/2 is -inf once sigma^2 overflows
+    if not (value > 0 and math.isfinite(value * value)):
+        raise ConfigError(f"--sigma must be > 0 with a finite square, got {text}")
     return value
 
 
@@ -357,16 +358,8 @@ def parse_experiment_config(text: str, base_dir: Path) -> dict:
         except ValueError:
             raise ConfigError(f"config key {key!r}: bad value {values[0]!r}") from None
 
-    def subset(key: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
-        values = raw.get(key)
-        if values is None:
-            return allowed
-        for v in values:
-            if v not in allowed:
-                raise ConfigError(
-                    f"config key {key!r}: {v!r} not in {list(allowed)}"
-                )
-        return tuple(values)
+    def axis(key: str, default: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(raw[key]) if key in raw else default
 
     emit_histograms = one("emit_histograms", "false", str).lower()
     if emit_histograms not in ("true", "false"):
@@ -381,9 +374,9 @@ def parse_experiment_config(text: str, base_dir: Path) -> dict:
 
     config = {
         "instances": [str((base_dir / p)) for p in raw["instances"]],
-        "uncertainties": subset("uncertainty", tuple(UNCERTAINTY_SIGMA)),
-        "strategies": subset("strategy", STRATEGIES),
-        "methods": subset("method", METHODS),
+        "uncertainties": axis("uncertainty", tuple(UNCERTAINTY_SIGMA)),
+        "strategies": axis("strategy", STRATEGIES),
+        "methods": axis("method", METHODS),
         "replicate_count": one("replicate_count", "10000", int),
         "target_rule": one("target_rule", "1.0", float),
         "master_seed": one("master_seed", "42", int),
@@ -391,12 +384,8 @@ def parse_experiment_config(text: str, base_dir: Path) -> dict:
         "seeds": seeds,
         "emit_histograms": emit_histograms == "true",
     }
-    if config["replicate_count"] < 1:
-        raise ConfigError("config key 'replicate_count' must be >= 1")
     if config["seed_count"] < 1:
         raise ConfigError("config key 'seed_count' must be >= 1")
-    if not (math.isfinite(config["target_rule"]) and config["target_rule"] > 0):
-        raise ConfigError("config key 'target_rule' must be > 0")
     return config
 
 
@@ -404,14 +393,6 @@ def cmd_experiment(args) -> int:
     config_path = Path(args.config)
     config = parse_experiment_config(_read_text(args.config), config_path.parent)
     workers = _resolve_threads(args.threads)
-
-    instances = []
-    for path in config["instances"]:
-        name = Path(path).stem
-        inst = parse_sm(_read_text(path), instance_name=name)
-        net, baselines = to_network(inst)
-        instances.append((name, net, baselines))
-
     grid = GridConfig(
         uncertainties=config["uncertainties"],
         strategies=config["strategies"],
@@ -419,6 +400,10 @@ def cmd_experiment(args) -> int:
         replicate_count=config["replicate_count"],
         target_rule=config["target_rule"],
     )
+    instances = []
+    for path in config["instances"]:
+        name, _, net, baselines = _load_instance(path)
+        instances.append((name, net, baselines))
     seeds = (
         config["seeds"]
         if config["seeds"] is not None

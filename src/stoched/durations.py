@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import NonPositiveBaseline
+from .errors import ConfigError, NonPositiveBaseline
 
 # Lower bound on sigma: densities stay well-defined while sigma -> 0
 # approximates a deterministic activity.
@@ -54,13 +54,18 @@ def from_baseline(d: float, sigma: float) -> DurationModel:
     """Mean-preserving prior for baseline duration d.
 
     d = 0 yields a frozen-zero duration (ln 0 is undefined and dummy
-    activities must stay exact); d < 0 is rejected.
+    activities must stay exact); d < 0 is rejected, and so is a sigma
+    that is negative, NaN or so large that sigma^2, and with it mu,
+    overflows.
     """
+    sigma = float(sigma)
+    if not (sigma >= 0 and math.isfinite(sigma * sigma)):
+        raise ConfigError(f"sigma must be >= 0 with a finite square, got {sigma}")
     if d < 0 or not math.isfinite(d):
         raise NonPositiveBaseline(f"baseline duration must be >= 0, got {d}")
     if d == 0:
         return FrozenDuration(0.0)
-    sigma = max(float(sigma), SIGMA_MIN)
+    sigma = max(sigma, SIGMA_MIN)
     return LognormalParams(mu=math.log(d) - 0.5 * sigma * sigma, sigma=sigma)
 
 

@@ -1,10 +1,10 @@
 """Benchmark experiment harness.
 
-A scenario fixes an uncertainty level, an observation-delivery strategy,
-a forecasting method, and a seed. For each scenario one ground-truth
-project realization is drawn, noisy per-activity observations are
-generated, and the chosen method produces a forecast that is scored
-against the realized completion time. Methods:
+A scenario is one (instance, uncertainty, seed): its priors, one
+ground-truth project realization, and one noisy observation per
+stochastic activity. make_scenario builds it once, and every cell of the
+grid at that seed, one per (strategy, method), is scored against the
+same realization, so methods are compared on the same project. Methods:
 
   deterministic_cpm     CPM on prior-mean durations, point forecast.
   static_mc             Monte Carlo on the priors, no updating.
@@ -14,13 +14,11 @@ against the realized completion time. Methods:
 Strategies deliver each activity's single observation in ground-truth
 earliest-finish order: none (no updates), periodic (4 batches),
 continuous (one cycle per observation). Only the final forecast is
-scored, so full_framework simulates once, after the last cycle. Ground
-truth and observations depend only on (seed, uncertainty, instance),
-never on strategy or method, so methods at one seed are scored against
-the same realization. run_matrix computes each distinct MAP update and
-forecast once and shares it between the cells of an (instance,
-uncertainty, seed): static_mc and full_framework/none share the prior
-forecast, and bayes_no_propagation and full_framework share the updates.
+scored, so full_framework simulates once, after the last cycle. A
+Scenario also memoizes its MAP updates and forecasts, so each distinct
+one is computed once for all of its cells: static_mc and
+full_framework/none share the prior forecast, and bayes_no_propagation
+and full_framework share the updates.
 
 Known limitation: while each activity has a single observation, periodic
 and continuous reach the same posterior, so their rows are equal; the
@@ -28,7 +26,7 @@ strategy axis only separates them once forecasts are scored mid-project.
 
 RMSE for sample-based forecasts is per-replicate deviation from the
 realized completion time; point forecasts are scored by absolute
-deviation. wall_time_ms in rows is a schema placeholder pinned to 0.0 so
+deviation. The wall_ms column is a schema placeholder pinned to 0.0 so
 that rows (and the CSV) are bit-exact reproducible; runtime lives in the
 run manifest instead.
 """
@@ -37,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,21 +72,25 @@ PERIODIC_BATCHES = 4
 PRIOR_TAU_MU = 0.30
 PRIOR_TAU_LOG_SIGMA = 0.80
 
-CSV_HEADER = "instance,method,strategy,uncertainty,seed,rmse,mae,e_t,var_t,p_delay,ci90,wall_ms"
+# Result columns in file order, with the ExperimentRow attribute each one
+# holds; wall_ms has none and is written as 0.0.
+ROW_COLUMNS = (
+    ("instance", "instance_name"),
+    ("method", "method"),
+    ("strategy", "strategy"),
+    ("uncertainty", "uncertainty"),
+    ("seed", "seed"),
+    ("rmse", "rmse"),
+    ("mae", "mae"),
+    ("e_t", "expected_completion"),
+    ("var_t", "completion_variance"),
+    ("p_delay", "delay_probability"),
+    ("ci90", "ci90_width"),
+    ("wall_ms", None),
+)
+CSV_HEADER = ",".join(column for column, _ in ROW_COLUMNS)
 
 _HISTOGRAM_MAX_BINS = 200
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    uncertainty: str
-    sigma_duration: float
-    sigma_obs_fraction: float
-    strategy: str
-    method: str
-    seed: int
-    replicate_count: int = 10_000
-    target_rule: float = 1.0  # T_target = target_rule * deterministic makespan
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,6 @@ class ExperimentRow:
     completion_variance: float
     delay_probability: float
     ci90_width: float
-    wall_time_ms: float
 
 
 @dataclass(frozen=True)
@@ -119,56 +120,89 @@ class GridConfig:
     strategies: tuple[str, ...] = STRATEGIES
     methods: tuple[str, ...] = METHODS
     replicate_count: int = 10_000
-    target_rule: float = 1.0
+    target_rule: float = 1.0  # T_target = target_rule * deterministic makespan
+
+    def __post_init__(self) -> None:
+        for axis, values, allowed in (
+            ("uncertainty level", self.uncertainties, UNCERTAINTY_SIGMA),
+            ("strategy", self.strategies, STRATEGIES),
+            ("method", self.methods, METHODS),
+        ):
+            for value in values:
+                if value not in allowed:
+                    raise ConfigError(f"unknown {axis} {value!r}")
+        if self.replicate_count < 1:
+            raise ConfigError(
+                f"replicate_count must be >= 1, got {self.replicate_count}"
+            )
+        if not (math.isfinite(self.target_rule) and self.target_rule > 0):
+            raise ConfigError(f"target_rule must be > 0, got {self.target_rule}")
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """One (instance, uncertainty, seed) and everything its cells share.
+
+    memo holds map_update and simulate results keyed by their arguments,
+    so cells of the scenario that make equal calls compute them once.
+    """
+
+    instance_name: str
+    net: ProjectNetwork
+    uncertainty: str
+    seed: int
+    priors: list[DurationModel]
+    det_makespan: float
+    sim_cfg: SimulationConfig  # its target_completion is the delay target
+    truth: GroundTruth
+    observations: list[ObservationRecord]
+    memo: dict = field(default_factory=dict, repr=False)
 
 
 def make_scenario(
+    instance_name: str,
+    net: ProjectNetwork,
+    baseline_durations,
     uncertainty: str,
-    strategy: str,
-    method: str,
     seed: int,
     replicate_count: int = 10_000,
     target_rule: float = 1.0,
-    sigma_duration: float | None = None,
-    sigma_obs_fraction: float | None = None,
-) -> ScenarioConfig:
-    """ScenarioConfig with per-level defaults filled in and names checked."""
-    if uncertainty not in UNCERTAINTY_SIGMA:
-        raise ConfigError(f"unknown uncertainty level {uncertainty!r}")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    if replicate_count < 1:
-        raise ConfigError(f"replicate_count must be >= 1, got {replicate_count}")
-    if not (math.isfinite(target_rule) and target_rule > 0):
-        raise ConfigError(f"target_rule must be > 0, got {target_rule}")
-    return ScenarioConfig(
+) -> Scenario:
+    """Priors, truth and observations of one seed at one uncertainty level.
+
+    Names and numbers are not checked here: GridConfig checks them once
+    for a whole grid.
+    """
+    baselines = np.asarray(baseline_durations, dtype=np.float64)
+    priors = priors_from_baselines(baselines, UNCERTAINTY_SIGMA[uncertainty])
+    det_makespan = float(compute_cpm(net, baselines).completion_time)
+    truth = generate_ground_truth(net, priors, seed)
+    return Scenario(
+        instance_name=instance_name,
+        net=net,
         uncertainty=uncertainty,
-        sigma_duration=(
-            UNCERTAINTY_SIGMA[uncertainty] if sigma_duration is None else sigma_duration
-        ),
-        sigma_obs_fraction=(
-            OBS_NOISE_FRACTION[uncertainty]
-            if sigma_obs_fraction is None
-            else sigma_obs_fraction
-        ),
-        strategy=strategy,
-        method=method,
         seed=seed,
-        replicate_count=replicate_count,
-        target_rule=target_rule,
+        priors=priors,
+        det_makespan=det_makespan,
+        sim_cfg=SimulationConfig(
+            replicate_count=replicate_count,
+            seed=stream_key(seed, "mc"),
+            target_completion=target_rule * det_makespan,
+        ),
+        truth=truth,
+        observations=generate_observations(
+            net, truth, baselines, OBS_NOISE_FRACTION[uncertainty], seed
+        ),
     )
 
 
 def generate_ground_truth(
-    net: ProjectNetwork, baseline_durations, cfg: ScenarioConfig
+    net: ProjectNetwork, priors: Sequence[DurationModel], seed: int
 ) -> GroundTruth:
     """One realized project: a draw per stochastic activity, frozen zeros
     for dummies, and the resulting actual completion time."""
-    priors = priors_from_baselines(baseline_durations, cfg.sigma_duration)
     n = net.activity_count
-    z = normals(stream_key(cfg.seed, "truth"), np.arange(n))
+    z = normals(stream_key(seed, "truth"), np.arange(n))
     true_durations = np.zeros(n)
     for i, model in enumerate(priors):
         if not is_frozen(model):
@@ -181,12 +215,13 @@ def generate_observations(
     net: ProjectNetwork,
     truth: GroundTruth,
     baseline_durations,
-    cfg: ScenarioConfig,
+    noise_fraction: float,
+    seed: int,
 ) -> list[ObservationRecord]:
     """One noisy observation per stochastic activity.
 
-    Noise sd is sigma_obs_fraction times the activity's baseline, and
-    records are ordered by the activity's earliest finish under the true
+    Noise sd is noise_fraction times the activity's baseline, and records
+    are ordered by the activity's earliest finish under the true
     durations: the order in which activities complete and become
     observable during execution.
     """
@@ -195,8 +230,8 @@ def generate_observations(
     ef = compute_cpm(net, truth.true_durations).earliest_finish
     records = []
     for i in sorted(observable, key=lambda i: (ef[i], i)):
-        noise_sd = cfg.sigma_obs_fraction * float(baselines[i])
-        eps = float(normals(stream_key(cfg.seed, "obs", i), [0])[0])
+        noise_sd = noise_fraction * float(baselines[i])
+        eps = float(normals(stream_key(seed, "obs", i), [0])[0])
         records.append(
             ObservationRecord(
                 activity=i,
@@ -221,26 +256,11 @@ def observation_batches(
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
-def _cached(cache: dict, key, compute):
+def _cached(memo: dict, key, compute):
     """compute() once per key; later calls return the stored value."""
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
-
-
-def _apply_batch(
-    states: dict[int, PosteriorState],
-    batch: Sequence[ObservationRecord],
-    cache: dict,
-) -> None:
-    grouped: dict[int, list[ObservationRecord]] = {}
-    for record in batch:
-        grouped.setdefault(record.activity, []).append(record)
-    for activity, records in grouped.items():
-        state = states[activity]
-        states[activity] = _cached(
-            cache, (state, tuple(records)), lambda: map_update(state, records)
-        )
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def posterior_models(
@@ -252,92 +272,9 @@ def posterior_models(
     ]
 
 
-def run_method(
-    net: ProjectNetwork,
-    baseline_durations,
-    cfg: ScenarioConfig,
-    workers: int = 1,
-    instance_name: str = "",
-    cache: dict | None = None,
-) -> tuple[ExperimentRow, ForecastResult | float]:
-    """Score one method in one scenario.
-
-    Returns the row plus the final forecast: a ForecastResult for
-    sample-based methods, the point forecast for the deterministic ones.
-    cache holds map_update and simulate results keyed by their arguments;
-    run_matrix shares one across the cells of an (instance, uncertainty)
-    so equal calls are computed once. Without it a fresh one is used.
-    """
-    if cache is None:
-        cache = {}
-    baselines = np.asarray(baseline_durations, dtype=np.float64)
-    priors = priors_from_baselines(baselines, cfg.sigma_duration)
-    det_makespan = compute_cpm(net, baselines).completion_time
-    target = cfg.target_rule * det_makespan
-    truth = generate_ground_truth(net, baselines, cfg)
-
-    def point_row(point: float) -> ExperimentRow:
-        return ExperimentRow(
-            instance_name=instance_name,
-            method=cfg.method,
-            strategy=cfg.strategy,
-            uncertainty=cfg.uncertainty,
-            seed=cfg.seed,
-            rmse=scalar_rmse(point, truth.t_true),
-            mae=scalar_rmse(point, truth.t_true),
-            expected_completion=point,
-            completion_variance=0.0,
-            delay_probability=1.0 if point > target else 0.0,
-            ci90_width=0.0,
-            wall_time_ms=0.0,
-        )
-
-    def sample_row(result: ForecastResult) -> ExperimentRow:
-        return ExperimentRow(
-            instance_name=instance_name,
-            method=cfg.method,
-            strategy=cfg.strategy,
-            uncertainty=cfg.uncertainty,
-            seed=cfg.seed,
-            rmse=rmse(result.samples, truth.t_true),
-            mae=mae(result.samples, truth.t_true),
-            expected_completion=result.expected_completion,
-            completion_variance=result.completion_variance,
-            delay_probability=result.delay_probability,
-            ci90_width=result.ci90_width,
-            wall_time_ms=0.0,
-        )
-
-    if cfg.method == "deterministic_cpm":
-        return point_row(float(det_makespan)), float(det_makespan)
-
-    sim_cfg = SimulationConfig(
-        replicate_count=cfg.replicate_count,
-        seed=stream_key(cfg.seed, "mc"),
-        target_completion=target,
-    )
-
-    def forecast(models: list[DurationModel]) -> ForecastResult:
-        def compute() -> ForecastResult:
-            result = simulate(net, models, sim_cfg, workers)
-            # Cells share this result: read-only arrays keep one cell's
-            # on_result callback from changing another cell's row.
-            for array in (
-                result.samples,
-                result.critical_probability,
-                result.critical_counts,
-            ):
-                array.setflags(write=False)
-            return result
-
-        return _cached(cache, (tuple(models), sim_cfg), compute)
-
-    if cfg.method == "static_mc":
-        result = forecast(priors)
-        return sample_row(result), result
-
-    observations = generate_observations(net, truth, baselines, cfg)
-    batches = observation_batches(observations, cfg.strategy)
+def _posterior(scenario: Scenario, strategy: str) -> list[DurationModel]:
+    """Priors updated by every observation batch the strategy delivers."""
+    priors = scenario.priors
     states = {
         i: make_initial_state(
             priors[i],
@@ -347,21 +284,81 @@ def run_method(
         for i in range(len(priors))
         if not is_frozen(priors[i])
     }
+    for batch in observation_batches(scenario.observations, strategy):
+        grouped: dict[int, list[ObservationRecord]] = {}
+        for record in batch:
+            grouped.setdefault(record.activity, []).append(record)
+        for activity, records in grouped.items():
+            state = states[activity]
+            states[activity] = _cached(
+                scenario.memo,
+                (state, tuple(records)),
+                lambda: map_update(state, records),
+            )
+    return posterior_models(priors, states)
 
-    for batch in batches:
-        _apply_batch(states, batch, cache)
-    posterior = posterior_models(priors, states)
 
-    if cfg.method == "bayes_no_propagation":
-        post_means = [expected_duration(m) for m in posterior]
-        point = compute_cpm(net, post_means).completion_time
-        return point_row(float(point)), float(point)
+def _forecast(
+    scenario: Scenario, models: list[DurationModel], workers: int
+) -> ForecastResult:
+    def compute() -> ForecastResult:
+        result = simulate(scenario.net, models, scenario.sim_cfg, workers)
+        # Cells share this result: read-only arrays keep one cell's
+        # on_result callback from changing another cell's row.
+        for array in (
+            result.samples,
+            result.critical_probability,
+            result.critical_counts,
+        ):
+            array.setflags(write=False)
+        return result
 
-    if cfg.method == "full_framework":
-        result = forecast(posterior)
-        return sample_row(result), result
+    return _cached(scenario.memo, tuple(models), compute)
 
-    raise ConfigError(f"unknown method {cfg.method!r}")
+
+def run_method(
+    scenario: Scenario, strategy: str, method: str, workers: int = 1
+) -> tuple[ExperimentRow, ForecastResult | float]:
+    """Score one method under one strategy in one scenario.
+
+    Returns the row plus the final forecast: a ForecastResult for
+    sample-based methods, the point forecast for the deterministic ones.
+    """
+    if method == "deterministic_cpm":
+        forecast = scenario.det_makespan
+    elif method == "static_mc":
+        forecast = _forecast(scenario, scenario.priors, workers)
+    elif method == "bayes_no_propagation":
+        post_means = [expected_duration(m) for m in _posterior(scenario, strategy)]
+        forecast = float(compute_cpm(scenario.net, post_means).completion_time)
+    elif method == "full_framework":
+        forecast = _forecast(scenario, _posterior(scenario, strategy), workers)
+    else:
+        raise ConfigError(f"unknown method {method!r}")
+
+    t_true = scenario.truth.t_true
+    if isinstance(forecast, float):
+        error = scalar_rmse(forecast, t_true)
+        late = forecast > scenario.sim_cfg.target_completion
+        scores = (error, error, forecast, 0.0, 1.0 if late else 0.0, 0.0)
+    else:
+        scores = (
+            rmse(forecast.samples, t_true),
+            mae(forecast.samples, t_true),
+            forecast.expected_completion,
+            forecast.completion_variance,
+            forecast.delay_probability,
+            forecast.ci90_width,
+        )
+    row = ExperimentRow(
+        scenario.instance_name,
+        method,
+        strategy,
+        scenario.uncertainty,
+        scenario.seed,
+        *scores,
+    )
+    return row, forecast
 
 
 def run_matrix(
@@ -375,36 +372,32 @@ def run_matrix(
     seeds, rows in that deterministic order.
 
     on_result, when given, is called with (row, forecast) after each cell
-    so callers can stream per-cell payloads (histograms). Cells of one
-    (instance, uncertainty) share a cache of MAP updates and forecasts,
-    so every distinct forecast of it stays in memory until the loop
-    moves to the next uncertainty.
+    so callers can stream per-cell payloads (histograms). The scenarios
+    of one (instance, uncertainty) are built once and live until the loop
+    moves to the next uncertainty, and with them every distinct forecast
+    they memoize.
     """
     if not instances or not seeds:
         raise ConfigError("experiment needs at least one instance and one seed")
     rows = []
     for name, net, baselines in instances:
         for uncertainty in grid.uncertainties:
-            cache: dict = {}
+            scenarios = [
+                make_scenario(
+                    name,
+                    net,
+                    baselines,
+                    uncertainty,
+                    seed,
+                    grid.replicate_count,
+                    grid.target_rule,
+                )
+                for seed in seeds
+            ]
             for strategy in grid.strategies:
                 for method in grid.methods:
-                    for seed in seeds:
-                        cfg = make_scenario(
-                            uncertainty,
-                            strategy,
-                            method,
-                            seed,
-                            replicate_count=grid.replicate_count,
-                            target_rule=grid.target_rule,
-                        )
-                        row, forecast = run_method(
-                            net,
-                            baselines,
-                            cfg,
-                            workers,
-                            instance_name=name,
-                            cache=cache,
-                        )
+                    for scenario in scenarios:
+                        row, forecast = run_method(scenario, strategy, method, workers)
                         rows.append(row)
                         if on_result is not None:
                             on_result(row, forecast)
@@ -416,53 +409,23 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
     return [stream_key(master_seed, "seed", j) for j in range(count)]
 
 
+def _row_values(row: ExperimentRow) -> list[tuple[str, object]]:
+    return [
+        (column, 0.0 if attr is None else getattr(row, attr))
+        for column, attr in ROW_COLUMNS
+    ]
+
+
 def csv_lines(rows: Iterable[ExperimentRow]) -> str:
     """Rows as CSV under CSV_HEADER; floats use shortest round-trip form."""
     out = [CSV_HEADER]
     for r in rows:
-        out.append(
-            ",".join(
-                [
-                    r.instance_name,
-                    r.method,
-                    r.strategy,
-                    r.uncertainty,
-                    str(r.seed),
-                    repr(r.rmse),
-                    repr(r.mae),
-                    repr(r.expected_completion),
-                    repr(r.completion_variance),
-                    repr(r.delay_probability),
-                    repr(r.ci90_width),
-                    repr(r.wall_time_ms),
-                ]
-            )
-        )
+        out.append(",".join(str(value) for _, value in _row_values(r)))
     return "\n".join(out) + "\n"
 
 
 def jsonl_lines(rows: Iterable[ExperimentRow]) -> str:
-    out = []
-    for r in rows:
-        out.append(
-            json.dumps(
-                {
-                    "instance": r.instance_name,
-                    "method": r.method,
-                    "strategy": r.strategy,
-                    "uncertainty": r.uncertainty,
-                    "seed": r.seed,
-                    "rmse": r.rmse,
-                    "mae": r.mae,
-                    "e_t": r.expected_completion,
-                    "var_t": r.completion_variance,
-                    "p_delay": r.delay_probability,
-                    "ci90": r.ci90_width,
-                    "wall_ms": r.wall_time_ms,
-                },
-                sort_keys=True,
-            )
-        )
+    out = [json.dumps(dict(_row_values(r)), sort_keys=True) for r in rows]
     return "\n".join(out) + "\n"
 
 

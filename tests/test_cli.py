@@ -137,12 +137,16 @@ def test_forecast_out_directory_artifacts(tmp_path, capsys, command):
         ("forecast", J30, "--threads", "x"),
         ("forecast", J30, "--threads", "0"),
         ("forecast", J30, "--target", "soon"),
+        ("forecast", J30, "--sigma", "2e154"),  # sigma^2 overflows
+        ("forecast", J30, "--sigma", "1e308"),
     ],
 )
 def test_forecast_flag_validation(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+    assert out == ""
+    assert argv[2] in err
 
 
 def test_threads_env_fallback(monkeypatch, capsys):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from stoched.durations import (
@@ -18,7 +20,7 @@ from stoched.durations import (
     log_pdf,
     priors_from_baselines,
 )
-from stoched.errors import NonPositiveBaseline
+from stoched.errors import ConfigError, NonPositiveBaseline
 from stoched.rng import normals, stream_key
 
 
@@ -51,6 +53,18 @@ def test_sigma_floor():
     assert p.sigma == SIGMA_MIN
     q = from_baseline(5.0, 1e-9)
     assert q.sigma == SIGMA_MIN
+
+
+@given(st.floats())
+def test_any_sigma_is_rejected_or_gives_finite_priors(sigma):
+    # ln d spans about +-690 over these baselines; mu = ln d - sigma^2/2
+    try:
+        priors = priors_from_baselines([0.0, 1e-300, 4.0, 1e300], sigma)
+    except ConfigError:
+        assert not 0 <= sigma <= 1.34e154  # NaN, negative or sigma^2 > max float
+        return
+    for p in priors[1:]:
+        assert math.isfinite(p.mu) and math.isfinite(p.sigma) and p.sigma > 0
 
 
 def test_priors_from_baselines_mixes_frozen_and_lognormal():

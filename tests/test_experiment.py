@@ -24,6 +24,7 @@ from stoched.experiment import (
     ExperimentRow,
     GridConfig,
     GroundTruth,
+    Scenario,
     completion_histogram,
     csv_lines,
     derive_seeds,
@@ -55,58 +56,70 @@ DIAMOND_BASELINES = np.array([3.0, 4.0, 5.0, 2.0])
 # -------------------------------------------------------------- make_scenario
 
 
-def test_scenario_levels_fill_defaults():
+def test_scenario_levels_fill_defaults(j30):
+    net, baselines = j30
     for level in ("low", "moderate", "high"):
-        cfg = make_scenario(level, "none", "static_mc", seed=1)
-        assert cfg.sigma_duration == UNCERTAINTY_SIGMA[level]
-        assert cfg.sigma_obs_fraction == OBS_NOISE_FRACTION[level]
+        scenario = make_scenario("j30", net, baselines, level, seed=1)
+        assert scenario.priors == priors_from_baselines(baselines, UNCERTAINTY_SIGMA[level])
+        for r in scenario.observations:
+            assert r.noise_sd == OBS_NOISE_FRACTION[level] * baselines[r.activity]
     assert UNCERTAINTY_SIGMA == {"low": 0.1, "moderate": 0.3, "high": 0.5}
     assert OBS_NOISE_FRACTION == {"low": 0.05, "moderate": 0.10, "high": 0.20}
 
 
-def test_scenario_explicit_overrides():
-    cfg = make_scenario(
-        "moderate", "none", "static_mc", 1, sigma_duration=0.42, sigma_obs_fraction=0.01
+def test_scenario_holds_target_truth_and_observations(j30):
+    net, baselines = j30
+    scenario = make_scenario(
+        "j30", net, baselines, "high", seed=7, replicate_count=300, target_rule=1.25
     )
-    assert cfg.sigma_duration == 0.42
-    assert cfg.sigma_obs_fraction == 0.01
+    assert isinstance(scenario, Scenario)
+    assert scenario.det_makespan == compute_cpm(net, baselines).completion_time
+    assert scenario.sim_cfg.replicate_count == 300
+    assert scenario.sim_cfg.seed == stream_key(7, "mc")
+    assert scenario.sim_cfg.target_completion == 1.25 * scenario.det_makespan
+    truth = generate_ground_truth(net, scenario.priors, 7)
+    assert np.array_equal(scenario.truth.true_durations, truth.true_durations)
+    assert scenario.observations == generate_observations(
+        net, truth, baselines, OBS_NOISE_FRACTION["high"], 7
+    )
 
 
-def test_scenario_validation():
-    with pytest.raises(ConfigError):
-        make_scenario("extreme", "none", "static_mc", 1)
-    with pytest.raises(ConfigError):
-        make_scenario("low", "hourly", "static_mc", 1)
-    with pytest.raises(ConfigError):
-        make_scenario("low", "none", "oracle", 1)
-    with pytest.raises(ConfigError):
-        make_scenario("low", "none", "static_mc", 1, replicate_count=0)
-    with pytest.raises(ConfigError):
-        make_scenario("low", "none", "static_mc", 1, target_rule=0.0)
-    with pytest.raises(ConfigError):
-        make_scenario("low", "none", "static_mc", 1, target_rule=float("nan"))
+def test_grid_config_validation():
+    GridConfig()
+    bad = [
+        dict(uncertainties=("extreme",)),
+        dict(strategies=("hourly",)),
+        dict(methods=("oracle",)),
+        dict(replicate_count=0),
+        dict(target_rule=0.0),
+        dict(target_rule=float("nan")),
+        dict(target_rule=float("inf")),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ConfigError):
+            GridConfig(**kwargs)
 
 
 # -------------------------------------------------------------- ground truth
 
 
+def _priors(baselines, level="moderate"):
+    return priors_from_baselines(baselines, UNCERTAINTY_SIGMA[level])
+
+
 def test_ground_truth_deterministic_per_seed(j30):
     net, baselines = j30
-    cfg = make_scenario("moderate", "none", "static_mc", seed=4)
-    a = generate_ground_truth(net, baselines, cfg)
-    b = generate_ground_truth(net, baselines, cfg)
+    a = generate_ground_truth(net, _priors(baselines), 4)
+    b = generate_ground_truth(net, _priors(baselines), 4)
     assert np.array_equal(a.true_durations, b.true_durations)
     assert a.t_true == b.t_true
-    other = generate_ground_truth(
-        net, baselines, make_scenario("moderate", "none", "static_mc", seed=5)
-    )
+    other = generate_ground_truth(net, _priors(baselines), 5)
     assert not np.array_equal(a.true_durations, other.true_durations)
 
 
 def test_ground_truth_dummies_stay_zero(j30):
     net, baselines = j30
-    cfg = make_scenario("high", "none", "static_mc", seed=2)
-    truth = generate_ground_truth(net, baselines, cfg)
+    truth = generate_ground_truth(net, _priors(baselines, "high"), 2)
     assert truth.true_durations[0] == 0.0
     assert truth.true_durations[-1] == 0.0
     assert np.all(truth.true_durations[1:-1] > 0)
@@ -114,8 +127,7 @@ def test_ground_truth_dummies_stay_zero(j30):
 
 def test_ground_truth_degenerates_to_baseline_at_zero_sigma(j30):
     net, baselines = j30
-    cfg = make_scenario("moderate", "none", "static_mc", seed=3, sigma_duration=0.0)
-    truth = generate_ground_truth(net, baselines, cfg)
+    truth = generate_ground_truth(net, priors_from_baselines(baselines, 0.0), 3)
     det = compute_cpm(net, baselines).completion_time
     real = baselines > 0
     assert np.allclose(truth.true_durations[real], baselines[real], rtol=1e-4)
@@ -127,36 +139,37 @@ def test_true_completion_mostly_exceeds_deterministic_plan(j30):
     # above the single-path deterministic value
     net, baselines = j30
     det = compute_cpm(net, baselines).completion_time
-    above = 0
-    for seed in range(100):
-        cfg = make_scenario("moderate", "none", "static_mc", seed=seed)
-        above += generate_ground_truth(net, baselines, cfg).t_true > det
+    priors = _priors(baselines)
+    above = sum(generate_ground_truth(net, priors, seed).t_true > det for seed in range(100))
     assert above > 50
 
 
 # ------------------------------------------------------------- observations
 
 
+def _observations(net, baselines, level, seed, noise_fraction=None):
+    truth = generate_ground_truth(net, _priors(baselines, level), seed)
+    if noise_fraction is None:
+        noise_fraction = OBS_NOISE_FRACTION[level]
+    return truth, generate_observations(net, truth, baselines, noise_fraction, seed)
+
+
 def test_observations_cover_each_real_activity_once(j30):
     net, baselines = j30
-    cfg = make_scenario("moderate", "continuous", "full_framework", seed=6)
-    truth = generate_ground_truth(net, baselines, cfg)
-    records = generate_observations(net, truth, baselines, cfg)
+    _, records = _observations(net, baselines, "moderate", 6)
     assert len(records) == int(np.count_nonzero(baselines > 0))
     assert sorted({r.activity for r in records}) == sorted(
         np.flatnonzero(baselines > 0).tolist()
     )
     for r in records:
         assert r.noise_sd == pytest.approx(
-            cfg.sigma_obs_fraction * baselines[r.activity]
+            OBS_NOISE_FRACTION["moderate"] * baselines[r.activity]
         )
 
 
 def test_observations_arrive_in_earliest_finish_order(j30):
     net, baselines = j30
-    cfg = make_scenario("high", "continuous", "full_framework", seed=8)
-    truth = generate_ground_truth(net, baselines, cfg)
-    records = generate_observations(net, truth, baselines, cfg)
+    truth, records = _observations(net, baselines, "high", 8)
     ef = compute_cpm(net, truth.true_durations).earliest_finish
     keys = [(ef[r.activity], r.activity) for r in records]
     assert keys == sorted(keys)
@@ -164,24 +177,20 @@ def test_observations_arrive_in_earliest_finish_order(j30):
 
 def test_observation_order_on_forced_truth():
     net = diamond()
-    cfg = make_scenario("moderate", "continuous", "full_framework", seed=1)
     slow_first = GroundTruth(
         true_durations=np.array([1.0, 5.0, 3.0, 1.0]), t_true=7.0
     )
-    order = [r.activity for r in generate_observations(net, slow_first, DIAMOND_BASELINES, cfg)]
+    order = [r.activity for r in generate_observations(net, slow_first, DIAMOND_BASELINES, 0.1, 1)]
     assert order == [0, 2, 1, 3]
     tied = GroundTruth(true_durations=np.array([1.0, 3.0, 3.0, 1.0]), t_true=5.0)
-    order = [r.activity for r in generate_observations(net, tied, DIAMOND_BASELINES, cfg)]
+    order = [r.activity for r in generate_observations(net, tied, DIAMOND_BASELINES, 0.1, 1)]
     assert order == [0, 1, 2, 3]  # equal finishes fall back to index order
 
 
 def test_observations_nearly_noiseless_limit(j30):
     net, baselines = j30
-    cfg = make_scenario(
-        "moderate", "continuous", "full_framework", seed=9, sigma_obs_fraction=1e-12
-    )
-    truth = generate_ground_truth(net, baselines, cfg)
-    for r in generate_observations(net, truth, baselines, cfg):
+    truth, records = _observations(net, baselines, "moderate", 9, noise_fraction=1e-12)
+    for r in records:
         assert r.observed_duration == pytest.approx(
             float(truth.true_durations[r.activity]), abs=1e-6
         )
@@ -189,10 +198,8 @@ def test_observations_nearly_noiseless_limit(j30):
 
 def test_observation_noise_is_seed_stable(j30):
     net, baselines = j30
-    cfg = make_scenario("moderate", "continuous", "full_framework", seed=10)
-    truth = generate_ground_truth(net, baselines, cfg)
-    a = generate_observations(net, truth, baselines, cfg)
-    b = generate_observations(net, truth, baselines, cfg)
+    _, a = _observations(net, baselines, "moderate", 10)
+    _, b = _observations(net, baselines, "moderate", 10)
     assert a == b
 
 
@@ -222,12 +229,17 @@ def test_observation_batches_fewer_records_than_cycles():
 # ---------------------------------------------------------------- run_method
 
 
+def _diamond_scenario(seed, replicate_count=10_000):
+    return make_scenario(
+        "d", diamond(), DIAMOND_BASELINES, "moderate", seed, replicate_count
+    )
+
+
 def test_deterministic_method_scores_plan_makespan():
-    net = diamond()
-    cfg = make_scenario("moderate", "none", "deterministic_cpm", seed=3)
-    row, forecast = run_method(net, DIAMOND_BASELINES, cfg, instance_name="d")
-    det = compute_cpm(net, DIAMOND_BASELINES).completion_time
-    truth = generate_ground_truth(net, DIAMOND_BASELINES, cfg)
+    scenario = _diamond_scenario(3)
+    row, forecast = run_method(scenario, "none", "deterministic_cpm")
+    det = compute_cpm(diamond(), DIAMOND_BASELINES).completion_time
+    truth = generate_ground_truth(diamond(), scenario.priors, 3)
     assert forecast == det
     assert row.expected_completion == det
     assert row.rmse == pytest.approx(abs(det - truth.t_true))
@@ -235,24 +247,13 @@ def test_deterministic_method_scores_plan_makespan():
     assert row.completion_variance == 0.0
     assert row.ci90_width == 0.0
     assert row.delay_probability in (0.0, 1.0)
-    assert row.wall_time_ms == 0.0
 
 
 def test_static_equals_full_framework_without_updates():
-    net = diamond()
-    common = dict(seed=5, replicate_count=400)
     static_row, static_fc = run_method(
-        net,
-        DIAMOND_BASELINES,
-        make_scenario("moderate", "none", "static_mc", **common),
-        instance_name="d",
+        _diamond_scenario(5, 400), "none", "static_mc"
     )
-    ff_row, ff_fc = run_method(
-        net,
-        DIAMOND_BASELINES,
-        make_scenario("moderate", "none", "full_framework", **common),
-        instance_name="d",
-    )
+    ff_row, ff_fc = run_method(_diamond_scenario(5, 400), "none", "full_framework")
     assert isinstance(static_fc, ForecastResult) and isinstance(ff_fc, ForecastResult)
     assert np.array_equal(static_fc.samples, ff_fc.samples)
     assert static_row.rmse == ff_row.rmse
@@ -262,29 +263,18 @@ def test_static_equals_full_framework_without_updates():
 def test_bayes_without_updates_degenerates_to_plan():
     # mean-preserving priors make the no-update posterior-mean schedule
     # reproduce the deterministic baseline exactly
-    net = diamond()
-    cfg = make_scenario("moderate", "none", "bayes_no_propagation", seed=5)
-    row, forecast = run_method(net, DIAMOND_BASELINES, cfg, instance_name="d")
+    _, forecast = run_method(_diamond_scenario(5), "none", "bayes_no_propagation")
     assert forecast == pytest.approx(
-        compute_cpm(net, DIAMOND_BASELINES).completion_time, rel=1e-12
+        compute_cpm(diamond(), DIAMOND_BASELINES).completion_time, rel=1e-12
     )
 
 
 def test_updates_shrink_log_errors_when_observations_are_nearly_exact(j30):
     net, baselines = j30
+    priors = _priors(baselines)
     factors = []
     for seed in range(3):
-        cfg = make_scenario(
-            "moderate",
-            "continuous",
-            "full_framework",
-            seed=seed,
-            replicate_count=1,
-            sigma_obs_fraction=1e-6,
-        )
-        truth = generate_ground_truth(net, baselines, cfg)
-        records = generate_observations(net, truth, baselines, cfg)
-        priors = priors_from_baselines(baselines, cfg.sigma_duration)
+        truth, records = _observations(net, baselines, "moderate", seed, noise_fraction=1e-6)
         states = {
             i: make_initial_state(
                 priors[i], tau_mu=PRIOR_TAU_MU, tau_log_sigma=PRIOR_TAU_LOG_SIGMA
@@ -307,11 +297,11 @@ def test_updates_shrink_log_errors_when_observations_are_nearly_exact(j30):
 
 
 def test_full_framework_strategies_update_through_different_cycles():
-    net = diamond()
-    rows = {}
-    for strategy in STRATEGIES:
-        cfg = make_scenario("moderate", strategy, "full_framework", seed=17, replicate_count=300)
-        rows[strategy], _ = run_method(net, DIAMOND_BASELINES, cfg, instance_name="d")
+    scenario = _diamond_scenario(17, 300)
+    rows = {
+        strategy: run_method(scenario, strategy, "full_framework")[0]
+        for strategy in STRATEGIES
+    }
     # updated forecasts differ from the never-updated one
     assert rows["continuous"].expected_completion != rows["none"].expected_completion
     assert rows["periodic"].expected_completion != rows["none"].expected_completion
@@ -352,12 +342,14 @@ def test_run_matrix_row_order_and_callback():
             assert isinstance(forecast, float)
         else:
             assert isinstance(forecast, ForecastResult)
-    assert all(r.wall_time_ms == 0.0 for r in rows)
     assert all(r.instance_name == "d" for r in rows)
 
 
-def _count_calls(monkeypatch, names=("simulate", "map_update")) -> dict:
-    """Wrap the experiment module's simulate and map_update with counters."""
+def _count_calls(
+    monkeypatch,
+    names=("simulate", "map_update", "generate_ground_truth", "generate_observations"),
+) -> dict:
+    """Wrap the experiment module's functions of these names with counters."""
     counts = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(stoched.experiment, name)
@@ -396,9 +388,10 @@ SHARED_SEEDS = (21, 22)
 
 @pytest.fixture(scope="module")
 def shared_matrix(j30):
-    """run_matrix on j30 with simulate/map_update calls counted per
-    (uncertainty, seed): the calls made since the previous cell belong
-    to the cell that on_result reports next."""
+    """run_matrix on j30 with calls counted per (uncertainty, seed).
+
+    A scenario's truth and observations are built before its first cell;
+    every other call belongs to the cell that on_result reports next."""
     net, baselines = j30
     cells = []
     per_seed: dict[tuple[str, int], dict] = {}
@@ -406,14 +399,22 @@ def shared_matrix(j30):
         counts = _count_calls(mp)
         seen = dict(counts)
 
-        def on_result(row, forecast):
-            cells.append((row, forecast))
-            tally = per_seed.setdefault(
-                (row.uncertainty, row.seed), dict.fromkeys(counts, 0)
-            )
+        def charge(key):
+            tally = per_seed.setdefault(key, dict.fromkeys(counts, 0))
             for name in counts:
                 tally[name] += counts[name] - seen[name]
                 seen[name] = counts[name]
+
+        def on_result(row, forecast):
+            cells.append((row, forecast))
+            charge((row.uncertainty, row.seed))
+
+        def counted_scenario(*args, **kwargs):
+            scenario = make_scenario(*args, **kwargs)
+            charge((scenario.uncertainty, scenario.seed))
+            return scenario
+
+        mp.setattr(stoched.experiment, "make_scenario", counted_scenario)
 
         rows = run_matrix(
             [("j30", net, baselines)], SHARED_GRID, SHARED_SEEDS, on_result=on_result
@@ -427,14 +428,15 @@ def test_run_matrix_equals_independent_cells(j30, shared_matrix):
     assert len(rows) == 2 * 3 * 4 * 2
     assert [row for row, _ in cells] == rows
     for row, forecast in cells:
-        cfg = make_scenario(
+        scenario = make_scenario(
+            "j30",
+            net,
+            baselines,
             row.uncertainty,
-            row.strategy,
-            row.method,
             row.seed,
             replicate_count=SHARED_GRID.replicate_count,
         )
-        alone_row, alone_forecast = run_method(net, baselines, cfg, instance_name="j30")
+        alone_row, alone_forecast = run_method(scenario, row.strategy, row.method)
         assert alone_row == row
         assert _same_forecast(alone_forecast, forecast), (row.method, row.strategy)
         if isinstance(forecast, ForecastResult):
@@ -455,12 +457,14 @@ def test_run_matrix_computes_each_seed_once(j30, shared_matrix):
         # posterior forecast (periodic and continuous agree)
         assert tally["simulate"] == 2
         assert tally["map_update"] == observed
+        # one realization and one set of observations for all 12 cells
+        assert tally["generate_ground_truth"] == 1
+        assert tally["generate_observations"] == 1
 
 
 def test_full_framework_simulates_only_the_final_posterior(monkeypatch):
-    counts = _count_calls(monkeypatch)
-    cfg = make_scenario("moderate", "continuous", "full_framework", seed=4, replicate_count=50)
-    run_method(diamond(), DIAMOND_BASELINES, cfg, instance_name="d")
+    counts = _count_calls(monkeypatch, names=("simulate", "map_update"))
+    run_method(_diamond_scenario(4, 50), "continuous", "full_framework")
     assert counts == {"simulate": 1, "map_update": len(DIAMOND_BASELINES)}
 
 
@@ -485,7 +489,7 @@ def test_derive_seeds_deterministic_and_distinct():
 
 def _toy_rows():
     return [
-        ExperimentRow("inst", m, "none", "low", s, 1.5 + s, 1.0, 20.25, 4.0, 0.25, 6.5, 0.0)
+        ExperimentRow("inst", m, "none", "low", s, 1.5 + s, 1.0, 20.25, 4.0, 0.25, 6.5)
         for m in ("deterministic_cpm", "static_mc")
         for s in (1, 2, 3)
     ]
@@ -504,6 +508,7 @@ def test_csv_lines_round_trip():
     assert first[0] == "inst"
     assert first[4] == "1"
     assert float(first[5]) == 2.5  # repr round-trips exactly
+    assert first[11] == "0.0"  # wall_ms is pinned
     assert text.endswith("\n")
 
 
