@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .bayes import make_initial_state, map_update, parse_observation_text
-from .durations import expected_duration, priors_from_baselines
+from .durations import SIGMA_MIN, expected_duration, priors_from_baselines
 from .errors import (
     ConfigError,
     InputError,
@@ -117,7 +117,7 @@ def _add_forecast_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--sigma",
         default="moderate",
-        help="uncertainty: low|moderate|high or a positive float (log-space sd)",
+        help="uncertainty: low|moderate|high or a float >= 1e-6 (log-space sd)",
     )
     p.add_argument("--n", type=int, default=10_000, help="replicate count")
     p.add_argument("--seed", type=int, default=42, help="simulation seed")
@@ -139,9 +139,11 @@ def _resolve_sigma(text: str) -> float:
         raise ConfigError(
             f"--sigma must be low|moderate|high or a float, got {text!r}"
         ) from None
-    # mu = ln d - sigma^2/2 is -inf once sigma^2 overflows
-    if not (value > 0 and math.isfinite(value * value)):
-        raise ConfigError(f"--sigma must be > 0 with a finite square, got {text}")
+    # priors floor sigma at SIGMA_MIN; mu = ln d - sigma^2/2 needs a finite square
+    if not (value >= SIGMA_MIN and math.isfinite(value * value)):
+        raise ConfigError(
+            f"--sigma must be >= {SIGMA_MIN:g} with a finite square, got {text}"
+        )
     return value
 
 

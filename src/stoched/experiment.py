@@ -97,6 +97,7 @@ _HISTOGRAM_MAX_BINS = 200
 class GroundTruth:
     true_durations: np.ndarray
     t_true: float
+    earliest_finish: np.ndarray  # per activity, under the true durations
 
 
 @dataclass(frozen=True)
@@ -200,15 +201,15 @@ def generate_ground_truth(
     net: ProjectNetwork, priors: Sequence[DurationModel], seed: int
 ) -> GroundTruth:
     """One realized project: a draw per stochastic activity, frozen zeros
-    for dummies, and the resulting actual completion time."""
+    for dummies, and the resulting completion and earliest finish times."""
     n = net.activity_count
     z = normals(stream_key(seed, "truth"), np.arange(n))
     true_durations = np.zeros(n)
     for i, model in enumerate(priors):
         if not is_frozen(model):
             true_durations[i] = math.exp(model.mu + model.sigma * z[i])
-    t_true = compute_cpm(net, true_durations).completion_time
-    return GroundTruth(true_durations=true_durations, t_true=float(t_true))
+    cpm = compute_cpm(net, true_durations)
+    return GroundTruth(true_durations, cpm.completion_time, cpm.earliest_finish)
 
 
 def generate_observations(
@@ -227,9 +228,8 @@ def generate_observations(
     """
     baselines = np.asarray(baseline_durations, dtype=np.float64)
     observable = [i for i in range(net.activity_count) if baselines[i] > 0]
-    ef = compute_cpm(net, truth.true_durations).earliest_finish
     records = []
-    for i in sorted(observable, key=lambda i: (ef[i], i)):
+    for i in sorted(observable, key=lambda i: (truth.earliest_finish[i], i)):
         noise_sd = noise_fraction * float(baselines[i])
         eps = float(normals(stream_key(seed, "obs", i), [0])[0])
         records.append(

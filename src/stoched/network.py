@@ -2,10 +2,11 @@
 
 A project is a DAG of activities; completion time is the longest
 source-to-sink path measured in activity durations. The kernel here is
-batched: it evaluates the forward/backward pass for many duration
-vectors at once, which is what the Monte Carlo engine runs per chunk of
-replicates. The scalar compute_cpm is the single-row view of the same
-code path.
+batched and activity-major: it takes an (activities, replicates) duration
+matrix, one row per activity, and walks the topological order folding
+whole predecessor (forward) or successor (backward) rows in place. That
+is what the Monte Carlo engine runs per chunk of replicates. The scalar
+compute_cpm is the single-column view of the same code path.
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ class CpmResult:
 
 @dataclass(frozen=True)
 class BatchCpmResult:
-    """CPM quantities for a batch of duration vectors, row per replicate."""
+    """CPM quantities for a batch of duration vectors, column per replicate."""
 
     completion_time: np.ndarray  # (R,)
-    earliest_start: np.ndarray  # (R, n)
+    earliest_start: np.ndarray  # (n, R)
     earliest_finish: np.ndarray
     latest_start: np.ndarray
     latest_finish: np.ndarray
     total_float: np.ndarray
-    critical_mask: np.ndarray  # (R, n) bool
+    critical_mask: np.ndarray  # (n, R) bool
 
 
 def build_network(n: int, edges) -> ProjectNetwork:
@@ -120,41 +121,41 @@ def build_network(n: int, edges) -> ProjectNetwork:
 
 
 def cpm_batch(net: ProjectNetwork, durations: np.ndarray) -> BatchCpmResult:
-    """Forward/backward pass for a (replicates, activities) duration matrix."""
-    durations = np.asarray(durations, dtype=np.float64)
-    if durations.ndim != 2 or durations.shape[1] != net.activity_count:
+    """Forward/backward pass for an (activities, replicates) duration matrix."""
+    durations = np.ascontiguousarray(durations, dtype=np.float64)
+    if durations.ndim != 2 or durations.shape[0] != net.activity_count:
         raise LengthMismatch(
-            f"duration matrix must have {net.activity_count} columns, "
+            f"duration matrix must have {net.activity_count} rows, "
             f"got shape {durations.shape}"
         )
     if not np.all(np.isfinite(durations)) or np.any(durations < 0):
         raise ValueError("durations must be finite and >= 0")
 
-    n = net.activity_count
-    r = durations.shape[0]
-    es = np.zeros((r, n))
-    ef = np.empty((r, n))
+    shape = durations.shape
+    es, ef = np.zeros(shape), np.empty(shape)
     for i in net.topo_order:
-        preds = net.predecessors[i]
+        row, preds = es[i], net.predecessors[i]
         if preds:
-            es[:, i] = ef[:, preds].max(axis=1)
-        ef[:, i] = es[:, i] + durations[:, i]
+            row[:] = ef[preds[0]]
+            for p in preds[1:]:
+                np.maximum(row, ef[p], out=row)
+        np.add(row, durations[i], out=ef[i])
 
-    completion = ef[:, net.sinks].max(axis=1)
+    completion = ef[list(net.sinks)].max(axis=0)
 
     # Every sink is anchored at the batch completion time, so a sink that
     # finishes early carries positive float instead of defining its own
     # deadline.
-    ls = np.empty((r, n))
-    lf = np.empty((r, n))
+    ls, lf = np.empty(shape), np.empty(shape)
     for i in reversed(net.topo_order):
-        succs = net.successors[i]
-        lf[:, i] = completion if not succs else ls[:, succs].min(axis=1)
-        ls[:, i] = lf[:, i] - durations[:, i]
+        row, succs = lf[i], net.successors[i]
+        row[:] = ls[succs[0]] if succs else completion
+        for s in succs[1:]:
+            np.minimum(row, ls[s], out=row)
+        np.subtract(row, durations[i], out=ls[i])
 
     total_float = ls - es
     eps = FLOAT_EPSILON_SCALE * np.maximum(1.0, completion)
-    critical = total_float <= eps[:, None]
     return BatchCpmResult(
         completion_time=completion,
         earliest_start=es,
@@ -162,7 +163,7 @@ def cpm_batch(net: ProjectNetwork, durations: np.ndarray) -> BatchCpmResult:
         latest_start=ls,
         latest_finish=lf,
         total_float=total_float,
-        critical_mask=critical,
+        critical_mask=total_float <= eps,
     )
 
 
@@ -173,15 +174,15 @@ def compute_cpm(net: ProjectNetwork, durations) -> CpmResult:
         raise LengthMismatch(
             f"expected {net.activity_count} durations, got shape {d.shape}"
         )
-    batch = cpm_batch(net, d[None, :])
+    batch = cpm_batch(net, d[:, None])
     return CpmResult(
         completion_time=float(batch.completion_time[0]),
-        earliest_start=batch.earliest_start[0],
-        earliest_finish=batch.earliest_finish[0],
-        latest_start=batch.latest_start[0],
-        latest_finish=batch.latest_finish[0],
-        total_float=batch.total_float[0],
-        critical_mask=batch.critical_mask[0],
+        earliest_start=batch.earliest_start[:, 0],
+        earliest_finish=batch.earliest_finish[:, 0],
+        latest_start=batch.latest_start[:, 0],
+        latest_finish=batch.latest_finish[:, 0],
+        total_float=batch.total_float[:, 0],
+        critical_mask=batch.critical_mask[:, 0],
     )
 
 

@@ -62,17 +62,15 @@ def simulate(
 
     n_rep = cfg.replicate_count
     samples = np.empty(n_rep)
-    chunk_bounds = [
-        (a, min(a + _CHUNK, n_rep)) for a in range(0, n_rep, _CHUNK)
-    ]
-    chunk_counts: list[np.ndarray | None] = [None] * len(chunk_bounds)
+    chunk_bounds = [(a, min(a + _CHUNK, n_rep)) for a in range(0, n_rep, _CHUNK)]
+    chunk_counts = np.empty((len(chunk_bounds), n), dtype=np.int64)
 
     def run_chunk(index: int) -> None:
         a, b = chunk_bounds[index]
         durations = sample_duration_matrix(net, per_activity, cfg.seed, a, b)
         batch = cpm_batch(net, durations)
         samples[a:b] = batch.completion_time
-        chunk_counts[index] = batch.critical_mask.sum(axis=0, dtype=np.int64)
+        chunk_counts[index] = batch.critical_mask.sum(axis=1)
 
     if workers > 1 and len(chunk_bounds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -81,9 +79,7 @@ def simulate(
         for index in range(len(chunk_bounds)):
             run_chunk(index)
 
-    counts = np.zeros(n, dtype=np.int64)
-    for c in chunk_counts:
-        counts += c
+    counts = chunk_counts.sum(axis=0)
 
     expected = float(np.mean(samples))
     variance = float(np.mean((samples - expected) ** 2))
@@ -114,29 +110,30 @@ def sample_duration_matrix(
     row_start: int,
     row_stop: int,
 ) -> np.ndarray:
-    """Duration draws of replicates row_start..row_stop-1, one row each.
+    """Duration draws of replicates row_start..row_stop-1, one column each.
 
-    Cell (k, i) is drawn at counter k*n + i of the seed's "sim" stream:
-    addressing by absolute replicate and activity keeps chunking out of
-    the results. Frozen activities keep their constant and use no draws.
+    The matrix is activity-major, (activities, replicates), as cpm_batch
+    takes it. Cell (i, k) is drawn at counter k*n + i of the seed's "sim"
+    stream: addressing by absolute replicate and activity keeps chunking
+    out of the results. Frozen activities keep their constant and use no
+    draws.
     """
     n = net.activity_count
-    frozen = np.array(
-        [isinstance(m, FrozenDuration) for m in per_activity], dtype=bool
-    )
-    base = np.array(
-        [
-            m.value if isinstance(m, FrozenDuration) else 0.0
-            for m in per_activity
-        ]
-    )
-    durations = np.broadcast_to(base, (row_stop - row_start, n)).copy()
-    active = np.flatnonzero(~frozen)
-    if active.size:
-        mu = np.array([per_activity[i].mu for i in active])
-        sigma = np.array([per_activity[i].sigma for i in active])
-        rows = np.arange(row_start, row_stop, dtype=np.uint64)[:, None]
-        cols = active.astype(np.uint64)[None, :]
-        z = normals(stream_key(seed, "sim"), rows * np.uint64(n) + cols)
-        durations[:, active] = np.exp(mu + sigma * z)
+    durations = np.empty((n, row_stop - row_start))
+    active = []
+    for i, m in enumerate(per_activity):
+        if isinstance(m, FrozenDuration):
+            durations[i] = m.value
+        else:
+            active.append(i)
+    if active:
+        mu = np.array([[per_activity[i].mu] for i in active])
+        sigma = np.array([[per_activity[i].sigma] for i in active])
+        k = np.arange(row_start, row_stop, dtype=np.uint64)[None, :]
+        i = np.array(active, dtype=np.uint64)[:, None]
+        z = normals(stream_key(seed, "sim"), k * np.uint64(n) + i)
+        # in place, and bit-equal to exp(mu + sigma * z): + and * commute
+        z *= sigma
+        z += mu
+        durations[active] = np.exp(z, out=z)
     return durations

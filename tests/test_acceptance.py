@@ -100,7 +100,7 @@ def test_01_completion_time_equals_path_maximum():
     result = simulate(net, per_activity, cfg)
     draws = sample_duration_matrix(net, per_activity, seed=77, row_start=0, row_stop=100)
     for k in range(100):
-        assert result.samples[k] == pytest.approx(path_max(net, draws[k]), abs=1e-9)
+        assert result.samples[k] == pytest.approx(path_max(net, draws[:, k]), abs=1e-9)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -96,8 +96,9 @@ def test_forecast_sigma_levels_change_spread(capsys):
 
 
 def test_forecast_threads_do_not_change_output(capsys):
-    a = stdout_json(capsys, "forecast", J30, "--n", "4000", "--threads", "1")
-    b = stdout_json(capsys, "forecast", J30, "--n", "4000", "--threads", "3")
+    # two full chunks of 4096 and a ragged tail, so the pool has work
+    a = stdout_json(capsys, "forecast", J30, "--n", "9000", "--threads", "1")
+    b = stdout_json(capsys, "forecast", J30, "--n", "9000", "--threads", "3")
     assert a == b
 
 
@@ -139,6 +140,7 @@ def test_forecast_out_directory_artifacts(tmp_path, capsys, command):
         ("forecast", J30, "--target", "soon"),
         ("forecast", J30, "--sigma", "2e154"),  # sigma^2 overflows
         ("forecast", J30, "--sigma", "1e308"),
+        ("forecast", J30, "--sigma", "1e-300"),  # below the sigma floor
     ],
 )
 def test_forecast_flag_validation(capsys, argv):
@@ -147,6 +149,14 @@ def test_forecast_flag_validation(capsys, argv):
     assert err.startswith("error:")
     assert out == ""
     assert argv[2] in err
+
+
+def test_sigma_below_floor_names_the_floor(capsys):
+    code, out, err = run_cli(capsys, "forecast", J30, "--sigma", "9e-7")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--sigma" in err and "1e-06" in err
+    assert run_cli(capsys, "forecast", J30, "--sigma", "1e-6", "--n", "10")[0] == 0
 
 
 def test_threads_env_fallback(monkeypatch, capsys):

@@ -171,6 +171,7 @@ def test_observations_arrive_in_earliest_finish_order(j30):
     net, baselines = j30
     truth, records = _observations(net, baselines, "high", 8)
     ef = compute_cpm(net, truth.true_durations).earliest_finish
+    assert np.array_equal(truth.earliest_finish, ef)
     keys = [(ef[r.activity], r.activity) for r in records]
     assert keys == sorted(keys)
 
@@ -178,11 +179,17 @@ def test_observations_arrive_in_earliest_finish_order(j30):
 def test_observation_order_on_forced_truth():
     net = diamond()
     slow_first = GroundTruth(
-        true_durations=np.array([1.0, 5.0, 3.0, 1.0]), t_true=7.0
+        true_durations=np.array([1.0, 5.0, 3.0, 1.0]),
+        t_true=7.0,
+        earliest_finish=np.array([1.0, 6.0, 4.0, 7.0]),
     )
     order = [r.activity for r in generate_observations(net, slow_first, DIAMOND_BASELINES, 0.1, 1)]
     assert order == [0, 2, 1, 3]
-    tied = GroundTruth(true_durations=np.array([1.0, 3.0, 3.0, 1.0]), t_true=5.0)
+    tied = GroundTruth(
+        true_durations=np.array([1.0, 3.0, 3.0, 1.0]),
+        t_true=5.0,
+        earliest_finish=np.array([1.0, 4.0, 4.0, 5.0]),
+    )
     order = [r.activity for r in generate_observations(net, tied, DIAMOND_BASELINES, 0.1, 1)]
     assert order == [0, 1, 2, 3]  # equal finishes fall back to index order
 
@@ -347,7 +354,13 @@ def test_run_matrix_row_order_and_callback():
 
 def _count_calls(
     monkeypatch,
-    names=("simulate", "map_update", "generate_ground_truth", "generate_observations"),
+    names=(
+        "simulate",
+        "map_update",
+        "generate_ground_truth",
+        "generate_observations",
+        "compute_cpm",
+    ),
 ) -> dict:
     """Wrap the experiment module's functions of these names with counters."""
     counts = dict.fromkeys(names, 0)
@@ -460,6 +473,9 @@ def test_run_matrix_computes_each_seed_once(j30, shared_matrix):
         # one realization and one set of observations for all 12 cells
         assert tally["generate_ground_truth"] == 1
         assert tally["generate_observations"] == 1
+        # CPM on the baselines and on the truth, then one
+        # bayes_no_propagation point forecast per strategy
+        assert tally["compute_cpm"] == 2 + len(SHARED_GRID.strategies)
 
 
 def test_full_framework_simulates_only_the_final_posterior(monkeypatch):

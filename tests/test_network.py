@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import diamond, path_max, random_dag
 from stoched.errors import (
@@ -14,6 +16,7 @@ from stoched.errors import (
     PathBudgetExceeded,
 )
 from stoched.network import (
+    FLOAT_EPSILON_SCALE,
     build_network,
     compute_cpm,
     cpm_batch,
@@ -89,16 +92,16 @@ def test_total_float_nonnegative_and_critical_path_exists():
         )
 
 
-def test_cpm_batch_rows_equal_single_runs():
+def test_cpm_batch_columns_equal_single_runs():
     rng = np.random.default_rng(31)
     net = random_dag(rng, 9)
     matrix = rng.uniform(0.0, 6.0, size=(8, 9))
-    batch = cpm_batch(net, matrix)
+    batch = cpm_batch(net, matrix.T)
     for k in range(8):
         single = compute_cpm(net, matrix[k])
         assert batch.completion_time[k] == single.completion_time
-        assert np.array_equal(batch.total_float[k], single.total_float)
-        assert np.array_equal(batch.critical_mask[k], single.critical_mask)
+        assert np.array_equal(batch.total_float[:, k], single.total_float)
+        assert np.array_equal(batch.critical_mask[:, k], single.critical_mask)
 
 
 def test_cpm_input_validation():
@@ -107,6 +110,8 @@ def test_cpm_input_validation():
         compute_cpm(net, [1.0, 2.0])
     with pytest.raises(LengthMismatch):
         cpm_batch(net, np.ones((3, 2)))
+    with pytest.raises(LengthMismatch):  # replicate-major input
+        cpm_batch(net, np.ones((3, 4)))
     with pytest.raises(ValueError):
         compute_cpm(net, [1.0, -2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
@@ -130,3 +135,80 @@ def test_multiple_sinks_anchor_at_common_completion():
     assert r.total_float[1] == 3.0
     assert not r.critical_mask[1]
     assert r.critical_mask[2]
+
+
+# Durations that tie exactly, are zero, or round when summed (0.1 + 0.2 -
+# 0.2 != 0.1), so es = ef - d would differ from the max over predecessors.
+_DURATION = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.5, 1e-9]),
+    st.floats(0.0, 100.0),
+)
+
+
+@st.composite
+def _dag_and_durations(draw):
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, k in zip(pairs, keep) if k]
+    r = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.lists(_DURATION, min_size=n, max_size=n), min_size=r, max_size=r))
+    return build_network(n, edges), edges, columns
+
+
+def _scalar_cpm(n, edges, d):
+    """Plain-Python forward/backward pass over one duration vector."""
+    preds = [[u for u, v in edges if v == i] for i in range(n)]
+    succs = [[v for u, v in edges if u == i] for i in range(n)]
+    es, ef = [None] * n, [None] * n
+    while None in ef:
+        for i in range(n):
+            if ef[i] is None and all(ef[p] is not None for p in preds[i]):
+                es[i] = max((ef[p] for p in preds[i]), default=0.0)
+                ef[i] = es[i] + d[i]
+    t = max(ef[i] for i in range(n) if not succs[i])
+    ls, lf = [None] * n, [None] * n
+    while None in ls:
+        for i in range(n):
+            if ls[i] is None and all(ls[s] is not None for s in succs[i]):
+                lf[i] = min((ls[s] for s in succs[i]), default=t)
+                ls[i] = lf[i] - d[i]
+    tf = [ls[i] - es[i] for i in range(n)]
+    crit = [f <= FLOAT_EPSILON_SCALE * max(1.0, t) for f in tf]
+    return t, es, ef, ls, lf, tf, crit
+
+
+def _longest_path(net, d):
+    """Longest path, each path summed left to right as the forward pass
+    adds (numpy's pairwise sum in path_max may round differently)."""
+    longest = 0.0
+    for path in enumerate_paths(net):
+        total = 0.0
+        for i in path:
+            total += d[i]
+        longest = max(longest, total)
+    return longest
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dag_and_durations())
+def test_cpm_batch_matches_scalar_passes(case):
+    net, edges, columns = case
+    n = net.activity_count
+    batch = cpm_batch(net, np.array(columns).T)
+    for k, d in enumerate(columns):
+        t, *fields = _scalar_cpm(n, edges, d)
+        assert batch.completion_time[k] == t == _longest_path(net, d)
+        for got, want in zip(
+            (
+                batch.earliest_start,
+                batch.earliest_finish,
+                batch.latest_start,
+                batch.latest_finish,
+                batch.total_float,
+                batch.critical_mask,
+            ),
+            fields,
+        ):
+            assert got[:, k].tolist() == want

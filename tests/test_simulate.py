@@ -49,7 +49,7 @@ def test_samples_match_path_enumeration_oracle():
     r = simulate(net, per_activity, cfg)
     draws = sample_duration_matrix(net, per_activity, seed=902, row_start=0, row_stop=100)
     for k in range(100):
-        assert r.samples[k] == pytest.approx(path_max(net, draws[k]), abs=1e-9)
+        assert r.samples[k] == pytest.approx(path_max(net, draws[:, k]), abs=1e-9)
     assert r.expected_completion == pytest.approx(float(r.samples.mean()))
     assert r.completion_variance == pytest.approx(float(r.samples.var(ddof=0)))
 
@@ -59,7 +59,7 @@ def test_duration_matrix_slices_are_position_stable():
     per_activity = priors_from_baselines([3.0, 4.0, 5.0, 2.0], 0.3)
     full = sample_duration_matrix(net, per_activity, seed=77, row_start=0, row_stop=40)
     part = sample_duration_matrix(net, per_activity, seed=77, row_start=25, row_stop=33)
-    assert np.array_equal(part, full[25:33])
+    assert np.array_equal(part, full[:, 25:33])
 
 
 def test_workers_do_not_change_results():
@@ -109,7 +109,7 @@ def test_critical_counts_consistent_and_contain_a_path():
     )
     draws = sample_duration_matrix(net, per_activity, seed=31, row_start=0, row_stop=200)
     batch = cpm_batch(net, draws)
-    assert np.array_equal(r.critical_counts, batch.critical_mask.sum(axis=0))
+    assert np.array_equal(r.critical_counts, batch.critical_mask.sum(axis=1))
     assert np.array_equal(r.samples, batch.completion_time)
 
 
@@ -144,14 +144,14 @@ def test_frozen_activities_do_not_perturb_live_draw_alignment():
     mixed = [live[0], FrozenDuration(5.0), live[2]]
     a = sample_duration_matrix(net, live, seed=9, row_start=0, row_stop=20)
     b = sample_duration_matrix(net, mixed, seed=9, row_start=0, row_stop=20)
-    assert np.array_equal(a[:, 0], b[:, 0])
-    assert np.array_equal(a[:, 2], b[:, 2])
-    assert np.all(b[:, 1] == 5.0)
-    # every live cell (k, i) is the draw at counter k*n + i of the "sim" stream
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[2], b[2])
+    assert np.all(b[1] == 5.0)
+    # every live cell (i, k) is the draw at counter k*n + i of the "sim" stream
     key = stream_key(9, "sim")
     for k, i in [(0, 0), (0, 2), (7, 1), (19, 2)]:
         z = normals(key, [k * 3 + i])
-        assert a[k, i] == np.exp(live[i].mu + live[i].sigma * z)[0]
+        assert a[i, k] == np.exp(live[i].mu + live[i].sigma * z)[0]
 
 
 def test_input_validation():
