@@ -46,9 +46,18 @@ def random_dag(rng: np.random.Generator, n: int, p: float = 0.35) -> ProjectNetw
 
 def path_max(net: ProjectNetwork, durations) -> float:
     """Longest-path completion time via exhaustive path enumeration —
-    the independent route against the forward/backward CPM kernel."""
-    d = np.asarray(durations, dtype=np.float64)
-    return max(float(d[list(path)].sum()) for path in enumerate_paths(net))
+    the independent route against the forward/backward CPM kernel. Each
+    path is summed left to right, the order in which the forward pass
+    adds, so the two agree to the last bit."""
+    d = [float(x) for x in durations]
+
+    def length(path) -> float:
+        total = 0.0
+        for i in path:
+            total += d[i]
+        return total
+
+    return max(length(path) for path in enumerate_paths(net))
 
 
 @pytest.fixture

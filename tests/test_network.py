@@ -179,18 +179,6 @@ def _scalar_cpm(n, edges, d):
     return t, es, ef, ls, lf, tf, crit
 
 
-def _longest_path(net, d):
-    """Longest path, each path summed left to right as the forward pass
-    adds (numpy's pairwise sum in path_max may round differently)."""
-    longest = 0.0
-    for path in enumerate_paths(net):
-        total = 0.0
-        for i in path:
-            total += d[i]
-        longest = max(longest, total)
-    return longest
-
-
 @settings(max_examples=300, deadline=None)
 @given(_dag_and_durations())
 def test_cpm_batch_matches_scalar_passes(case):
@@ -199,7 +187,7 @@ def test_cpm_batch_matches_scalar_passes(case):
     batch = cpm_batch(net, np.array(columns).T)
     for k, d in enumerate(columns):
         t, *fields = _scalar_cpm(n, edges, d)
-        assert batch.completion_time[k] == t == _longest_path(net, d)
+        assert batch.completion_time[k] == t == path_max(net, d)
         for got, want in zip(
             (
                 batch.earliest_start,
