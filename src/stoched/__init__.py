@@ -24,7 +24,6 @@ from .durations import (
     LognormalParams,
     expected_duration,
     from_baseline,
-    log_pdf,
     priors_from_baselines,
 )
 from .experiment import (
@@ -82,7 +81,6 @@ __all__ = [
     "from_baseline",
     "generate_ground_truth",
     "generate_observations",
-    "log_pdf",
     "log_prior",
     "mae",
     "make_initial_state",

@@ -10,12 +10,13 @@ input.
 
 stdout carries machine-readable JSON payloads only; diagnostics go to
 stderr. Exit codes: 0 success, 2 usage or config error (including
-unreadable files), 3 malformed input data, 4 numerical failure. All
-outputs are deterministic given flags and inputs; the seed is always an
-explicit flag, never wall-clock. Output directories receive exactly one
-manifest.json recording the command, resolved configuration, input
-digests, tool version, and timestamp (the manifest, unlike result files,
-is an audit record and carries the only non-deterministic fields).
+unreadable files and replicate counts too large for memory), 3 malformed
+input data, 4 numerical failure. All outputs are deterministic given
+flags and inputs; the seed is always an explicit flag, never wall-clock.
+Output directories receive exactly one manifest.json recording the
+command, resolved configuration, input digests, tool version, and
+timestamp (the manifest, unlike result files, is an audit record and
+carries the only non-deterministic fields).
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError:
+        print("error: out of memory; lower --n or replicate_count", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _build_parser() -> argparse.ArgumentParser:

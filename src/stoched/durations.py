@@ -20,8 +20,6 @@ from .errors import ConfigError, NonPositiveBaseline
 # approximates a deterministic activity.
 SIGMA_MIN = 1e-6
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class LognormalParams:
@@ -72,11 +70,3 @@ def from_baseline(d: float, sigma: float) -> DurationModel:
 def priors_from_baselines(baselines, sigma: float) -> list[DurationModel]:
     """Per-activity mean-preserving priors for a baseline duration vector."""
     return [from_baseline(float(d), sigma) for d in baselines]
-
-
-def log_pdf(p: LognormalParams, x: float) -> float:
-    """Lognormal log-density; -inf for x <= 0 (support constraint)."""
-    if x <= 0:
-        return -math.inf
-    z = (math.log(x) - p.mu) / p.sigma
-    return -math.log(x) - math.log(p.sigma) - _LOG_SQRT_2PI - 0.5 * z * z

@@ -6,7 +6,9 @@ batched and activity-major: it takes an (activities, replicates) duration
 matrix, one row per activity, and walks the topological order folding
 whole predecessor (forward) or successor (backward) rows in place. That
 is what the Monte Carlo engine runs per chunk of replicates. The scalar
-compute_cpm is the single-column view of the same code path.
+compute_cpm is the single-column view of the same code path. Both return
+only what callers read: completion time, earliest finishes and the
+critical mask, with the shapes given on CpmResult.
 """
 
 from __future__ import annotations
@@ -44,26 +46,16 @@ class ProjectNetwork:
 
 @dataclass(frozen=True)
 class CpmResult:
-    completion_time: float
-    earliest_start: np.ndarray
+    """Completion time, earliest finishes, and which activities have zero
+    total float (to within FLOAT_EPSILON_SCALE * max(1, makespan)).
+
+    From cpm_batch: (R,), (n, R) and (n, R) bool, a column per replicate.
+    From compute_cpm: a float and two (n,) columns.
+    """
+
+    completion_time: float | np.ndarray
     earliest_finish: np.ndarray
-    latest_start: np.ndarray
-    latest_finish: np.ndarray
-    total_float: np.ndarray
     critical_mask: np.ndarray
-
-
-@dataclass(frozen=True)
-class BatchCpmResult:
-    """CPM quantities for a batch of duration vectors, column per replicate."""
-
-    completion_time: np.ndarray  # (R,)
-    earliest_start: np.ndarray  # (n, R)
-    earliest_finish: np.ndarray
-    latest_start: np.ndarray
-    latest_finish: np.ndarray
-    total_float: np.ndarray
-    critical_mask: np.ndarray  # (n, R) bool
 
 
 def build_network(n: int, edges) -> ProjectNetwork:
@@ -120,7 +112,7 @@ def build_network(n: int, edges) -> ProjectNetwork:
     )
 
 
-def cpm_batch(net: ProjectNetwork, durations: np.ndarray) -> BatchCpmResult:
+def cpm_batch(net: ProjectNetwork, durations: np.ndarray) -> CpmResult:
     """Forward/backward pass for an (activities, replicates) duration matrix."""
     durations = np.ascontiguousarray(durations, dtype=np.float64)
     if durations.ndim != 2 or durations.shape[0] != net.activity_count:
@@ -145,25 +137,22 @@ def cpm_batch(net: ProjectNetwork, durations: np.ndarray) -> BatchCpmResult:
 
     # Every sink is anchored at the batch completion time, so a sink that
     # finishes early carries positive float instead of defining its own
-    # deadline.
-    ls, lf = np.empty(shape), np.empty(shape)
+    # deadline. Each ls row first holds the latest finish, then has its
+    # duration subtracted in place.
+    ls = np.empty(shape)
     for i in reversed(net.topo_order):
-        row, succs = lf[i], net.successors[i]
+        row, succs = ls[i], net.successors[i]
         row[:] = ls[succs[0]] if succs else completion
         for s in succs[1:]:
             np.minimum(row, ls[s], out=row)
-        np.subtract(row, durations[i], out=ls[i])
+        row -= durations[i]
 
-    total_float = ls - es
+    # Total float ls - es overwrites ls: nothing reads ls afterwards.
     eps = FLOAT_EPSILON_SCALE * np.maximum(1.0, completion)
-    return BatchCpmResult(
+    return CpmResult(
         completion_time=completion,
-        earliest_start=es,
         earliest_finish=ef,
-        latest_start=ls,
-        latest_finish=lf,
-        total_float=total_float,
-        critical_mask=total_float <= eps,
+        critical_mask=np.subtract(ls, es, out=ls) <= eps,
     )
 
 
@@ -177,11 +166,7 @@ def compute_cpm(net: ProjectNetwork, durations) -> CpmResult:
     batch = cpm_batch(net, d[:, None])
     return CpmResult(
         completion_time=float(batch.completion_time[0]),
-        earliest_start=batch.earliest_start[:, 0],
         earliest_finish=batch.earliest_finish[:, 0],
-        latest_start=batch.latest_start[:, 0],
-        latest_finish=batch.latest_finish[:, 0],
-        total_float=batch.total_float[:, 0],
         critical_mask=batch.critical_mask[:, 0],
     )
 

@@ -1,12 +1,15 @@
-"""Shared test helpers: fixture loading, small networks, random DAGs."""
+"""Shared test helpers: fixture loading, small networks, random DAGs,
+and the lognormal log-density oracle."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stoched.durations import LognormalParams
 from stoched.network import ProjectNetwork, build_network, enumerate_paths
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -58,6 +61,17 @@ def path_max(net: ProjectNetwork, durations) -> float:
         return total
 
     return max(length(path) for path in enumerate_paths(net))
+
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def log_pdf(p: LognormalParams, x: float) -> float:
+    """Lognormal log-density; -inf for x <= 0 (support constraint)."""
+    if x <= 0:
+        return -math.inf
+    z = (math.log(x) - p.mu) / p.sigma
+    return -math.log(x) - math.log(p.sigma) - _LOG_SQRT_2PI - 0.5 * z * z
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import log_pdf
 from stoched.bayes import (
     ObservationRecord,
     PosteriorState,
@@ -25,12 +26,7 @@ from stoched.bayes import (
     marginal_log_likelihood,
     parse_observation_text,
 )
-from stoched.durations import (
-    LognormalParams,
-    expected_duration,
-    from_baseline,
-    log_pdf,
-)
+from stoched.durations import LognormalParams, expected_duration, from_baseline
 from stoched.errors import MixedActivities, ObservationFormatError
 
 

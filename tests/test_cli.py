@@ -349,3 +349,15 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert code == EXIT_NUMERIC
     assert "error:" in err
     assert out == ""
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("stoched.cli.simulate", exhausted)
+    code, out, err = run_cli(capsys, "forecast", J30, "--n", "1000000000000000")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "--n" in err
+    assert len(err.splitlines()) == 1

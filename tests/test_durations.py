@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import log_pdf
 from stoched.durations import (
     SIGMA_MIN,
     FrozenDuration,
@@ -17,7 +18,6 @@ from stoched.durations import (
     expected_duration,
     from_baseline,
     is_frozen,
-    log_pdf,
     priors_from_baselines,
 )
 from stoched.errors import ConfigError, NonPositiveBaseline
