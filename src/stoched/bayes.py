@@ -7,11 +7,14 @@ observation under parameters theta marginalizes the unseen duration:
     P(O | theta) = integral Normal(O; d, noise_sd) * Lognormal(d; theta) dd
 
 which has no closed form; it is evaluated by a fixed deterministic
-trapezoid quadrature in d. The prior over theta is Normal on mu and
-Normal on ln sigma. A MAP update maximizes log-likelihood plus log-prior
-with Nelder-Mead in (mu, ln sigma) space; recursion means each update
-re-anchors the prior centers at the new MAP estimate and discards the
-consumed observations, so memory per activity stays constant.
+trapezoid quadrature in d. The quadrature runs in plain numpy: its
+log-spaced nodes and its log-sum-exp reproduce np.geomspace and
+scipy.special.logsumexp bit for bit, without their per-call overhead.
+The prior over theta is Normal on mu and Normal on ln sigma. A MAP
+update maximizes log-likelihood plus log-prior with Nelder-Mead in
+(mu, ln sigma) space; recursion means each update re-anchors the prior
+centers at the new MAP estimate and discards the consumed observations,
+so memory per activity stays constant.
 
 Sampling after an update uses Lognormal(theta_MAP) directly (plug-in
 predictive); parameter uncertainty around the MAP point is not
@@ -26,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .durations import SIGMA_MIN, LognormalParams
 from .errors import MixedActivities, ObservationFormatError, OptimizationFailed
@@ -40,6 +42,8 @@ DEFAULT_TAU_LOG_SIGMA = 0.5
 # integrand can be much narrower than the other.
 _LOG_NODES = 65
 _LIN_NODES = 64
+_ARANGE = np.arange(float(_LOG_NODES))
+_RAMP = np.linspace(0.0, 1.0, _LIN_NODES)
 
 # Box outside which the objective is treated as -inf; keeps exp() from
 # overflowing while Nelder-Mead explores. _LOG_SPAN_MAX bounds the
@@ -130,41 +134,75 @@ def _per_observation_log_likelihood(
     mu, sigma = theta.mu, theta.sigma
     lo_ln = math.exp(mu - 6.0 * sigma)
     hi_ln = math.exp(mu + 6.0 * sigma)
-    d_log = np.geomspace(lo_ln, hi_ln, _LOG_NODES)
-
-    # Linear nodes across each observation's noise window, clipped to the
-    # positive axis. A window entirely at or below zero collapses onto
-    # lo_ln; the resulting duplicate nodes get zero trapezoid weight.
-    hi_ob = values + 6.0 * noise
-    lo_ob = values - 6.0 * noise
-    usable = hi_ob > 0
-    floor = np.minimum(lo_ln, np.where(usable, hi_ob, lo_ln)) * 1e-9
-    start = np.where(usable, np.maximum(lo_ob, floor), lo_ln)
-    stop = np.where(usable, hi_ob, lo_ln)
-    ramp = np.linspace(0.0, 1.0, _LIN_NODES)
-    d_lin = start[:, None] + (stop - start)[:, None] * ramp[None, :]
-
     m = values.shape[0]
-    nodes = np.concatenate(
-        [np.broadcast_to(d_log, (m, _LOG_NODES)), d_lin], axis=1
-    )
-    nodes = np.sort(nodes, axis=1)
-
-    weights = np.empty_like(nodes)
-    weights[:, 1:-1] = 0.5 * (nodes[:, 2:] - nodes[:, :-2])
-    weights[:, 0] = 0.5 * (nodes[:, 1] - nodes[:, 0])
-    weights[:, -1] = 0.5 * (nodes[:, -1] - nodes[:, -2])
-
-    log_d = np.log(nodes)
-    z_ln = (log_d - mu) / sigma
-    log_lognormal = -log_d - math.log(sigma) - _LOG_SQRT_2PI - 0.5 * z_ln * z_ln
     # Zero weights (duplicate nodes) and tiny noise sds (z_n^2 overflowing)
-    # both give terms of exactly -inf, which logsumexp drops.
-    with np.errstate(divide="ignore", over="ignore"):
+    # both give terms of exactly -inf, which _logsumexp_rows drops.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Linear nodes across each observation's noise window, clipped to
+        # the positive axis. A window entirely at or below zero collapses
+        # onto lo_ln; the resulting duplicate nodes get zero trapezoid
+        # weight.
+        hi_ob = values + 6.0 * noise
+        lo_ob = values - 6.0 * noise
+        usable = hi_ob > 0
+        floor = np.minimum(lo_ln, np.where(usable, hi_ob, lo_ln)) * 1e-9
+        start = np.where(usable, np.maximum(lo_ob, floor), lo_ln)
+        stop = np.where(usable, hi_ob, lo_ln)
+
+        nodes = np.empty((m, _LOG_NODES + _LIN_NODES))
+        nodes[:, :_LOG_NODES] = _geomspace(lo_ln, hi_ln)
+        nodes[:, _LOG_NODES:] = start[:, None] + (stop - start)[:, None] * _RAMP
+        nodes.sort(axis=1)
+
+        weights = np.empty_like(nodes)
+        weights[:, 1:-1] = 0.5 * (nodes[:, 2:] - nodes[:, :-2])
+        weights[:, 0] = 0.5 * (nodes[:, 1] - nodes[:, 0])
+        weights[:, -1] = 0.5 * (nodes[:, -1] - nodes[:, -2])
+
+        log_d = np.log(nodes)
+        z_ln = (log_d - mu) / sigma
+        log_lognormal = -log_d - math.log(sigma) - _LOG_SQRT_2PI - 0.5 * z_ln * z_ln
         log_w = np.log(weights)
         z_n = (values[:, None] - nodes) / noise[:, None]
         log_normal = -np.log(noise)[:, None] - _LOG_SQRT_2PI - 0.5 * z_n * z_n
-    return logsumexp(log_normal + log_lognormal + log_w, axis=1)
+        return _logsumexp_rows(log_normal + log_lognormal + log_w)
+
+
+def _geomspace(lo: float, hi: float) -> np.ndarray:
+    """np.geomspace(lo, hi, _LOG_NODES) for 0 < lo <= hi, by the same
+    operations in the same order: linspace between the log10 ends, a power
+    of ten, then both ends pinned to lo and hi. Two linspace steps cannot
+    change the result and are left out: pinning its last point (hi
+    overwrites it) and its branch for a step that underflows to 0 (a
+    difference of log10 values is then exactly 0, and both branches give
+    l0 everywhere)."""
+    if lo == 0:
+        raise ValueError("Geometric sequence cannot include zero")
+    l0 = np.log10(lo)
+    y = _ARANGE * ((np.log10(hi) - l0) / (_LOG_NODES - 1)) + l0
+    out = np.power(10.0, y)
+    out[0] = lo
+    out[-1] = hi
+    return out
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp(a, axis=1) for a real C-contiguous 2-D array,
+    by the same operations: each row's maxima are counted and split out of
+    the shifted sum, and a row whose result is not finite falls back to
+    log(sum(exp(row))). Callers ignore divide and invalid warnings."""
+    a_max = a.max(axis=1, keepdims=True)
+    tied = a == a_max
+    m = tied.sum(axis=1, dtype=np.float64)
+    shifted = a - a_max
+    shifted[tied] = -np.inf
+    s = np.exp(shifted, out=shifted).sum(axis=1)
+    s = np.where(s == 0, s, s / m)
+    out = np.log1p(s) + np.log(m) + a_max[:, 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 def log_prior(theta: LognormalParams, hyper: PriorHyper) -> float:
@@ -214,12 +252,15 @@ def map_update(
         return -_objective(float(x[0]), float(x[1]), obs, hyper)
 
     x0 = np.array([state.params.mu, math.log(state.params.sigma)])
-    result = minimize(
-        negated,
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": 500, "xatol": 1e-6, "fatol": 1e-8},
-    )
+    # A simplex that sees only -inf subtracts inf from inf in its
+    # convergence test; that case is handled by the grid fallback below.
+    with np.errstate(invalid="ignore"):
+        result = minimize(
+            negated,
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": 500, "xatol": 1e-6, "fatol": 1e-8},
+        )
     best_mu, best_log_sigma = float(result.x[0]), float(result.x[1])
     best_value = -float(result.fun)
 

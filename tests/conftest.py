@@ -1,5 +1,6 @@
 """Shared test helpers: fixture loading, small networks, random DAGs,
-and the lognormal log-density oracle."""
+the lognormal log-density oracle, a pure-Python splitmix64 uniform and a
+frozen copy of the library-built MAP quadrature."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from stoched.durations import LognormalParams
 from stoched.network import ProjectNetwork, build_network, enumerate_paths
@@ -72,6 +74,60 @@ def log_pdf(p: LognormalParams, x: float) -> float:
         return -math.inf
     z = (math.log(x) - p.mu) / p.sigma
     return -math.log(x) - math.log(p.sigma) - _LOG_SQRT_2PI - 0.5 * z * z
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _splitmix64_finalize(x: int) -> int:
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def splitmix64_uniform(key: int, counter: int) -> float:
+    """The uniform at one counter of a stream, in Python integers: the
+    finalizer applied to the golden-ratio-offset counter, then again after
+    keying; the top 53 bits plus a half ulp, scaled into (0, 1)."""
+    x = _splitmix64_finalize((counter + 0x9E3779B97F4A7C15) & _MASK64)
+    bits = _splitmix64_finalize(x ^ key)
+    return ((bits >> 11) + 0.5) * 2.0**-53
+
+
+def reference_quadrature(
+    theta: LognormalParams, values: np.ndarray, noise: np.ndarray
+) -> np.ndarray:
+    """Per-observation log marginal likelihoods built from np.geomspace,
+    np.linspace, np.concatenate and scipy's logsumexp: the quadrature as
+    it stood before it was rewritten in plain numpy, kept to pin that
+    rewrite to the same bits."""
+    mu, sigma = theta.mu, theta.sigma
+    lo_ln = math.exp(mu - 6.0 * sigma)
+    hi_ln = math.exp(mu + 6.0 * sigma)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_log = np.geomspace(lo_ln, hi_ln, 65)
+        hi_ob = values + 6.0 * noise
+        lo_ob = values - 6.0 * noise
+        usable = hi_ob > 0
+        floor = np.minimum(lo_ln, np.where(usable, hi_ob, lo_ln)) * 1e-9
+        start = np.where(usable, np.maximum(lo_ob, floor), lo_ln)
+        stop = np.where(usable, hi_ob, lo_ln)
+        ramp = np.linspace(0.0, 1.0, 64)
+        d_lin = start[:, None] + (stop - start)[:, None] * ramp[None, :]
+        m = values.shape[0]
+        nodes = np.concatenate([np.broadcast_to(d_log, (m, 65)), d_lin], axis=1)
+        nodes = np.sort(nodes, axis=1)
+        weights = np.empty_like(nodes)
+        weights[:, 1:-1] = 0.5 * (nodes[:, 2:] - nodes[:, :-2])
+        weights[:, 0] = 0.5 * (nodes[:, 1] - nodes[:, 0])
+        weights[:, -1] = 0.5 * (nodes[:, -1] - nodes[:, -2])
+        log_d = np.log(nodes)
+        z_ln = (log_d - mu) / sigma
+        log_lognormal = -log_d - math.log(sigma) - _LOG_SQRT_2PI - 0.5 * z_ln * z_ln
+        log_w = np.log(weights)
+        z_n = (values[:, None] - nodes) / noise[:, None]
+        log_normal = -np.log(noise)[:, None] - _LOG_SQRT_2PI - 0.5 * z_n * z_n
+        return logsumexp(log_normal + log_lognormal + log_w, axis=1)
 
 
 @pytest.fixture

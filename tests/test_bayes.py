@@ -13,9 +13,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
+from scipy.special import logsumexp
 
-from conftest import log_pdf
+from conftest import log_pdf, reference_quadrature
+from stoched import bayes
 from stoched.bayes import (
     ObservationRecord,
     PosteriorState,
@@ -143,6 +148,90 @@ def test_non_finite_observation_rejected():
         marginal_log_likelihood(theta, [ObservationRecord(0, float("nan"), 0.5)])
 
 
+def test_quadrature_span_underflowing_to_zero_is_rejected():
+    # exp(mu - 6 sigma) == 0 leaves no log-spaced nodes; the span is
+    # rejected with np.geomspace's error.
+    with pytest.raises(ValueError):
+        marginal_log_likelihood(
+            LognormalParams(-800.0, 1.0), [ObservationRecord(0, 1.0, 0.5)]
+        )
+
+
+# Rows of logsumexp input: finite terms, -inf terms (zero trapezoid
+# weights), +inf, nan of either sign (their bits pin scipy's fallback for
+# non-finite rows), and values drawn from a short list so that row maxima
+# tie. Whole rows can be blanked to -inf.
+_LSE_TERMS = st.one_of(
+    st.floats(-800.0, 800.0),
+    st.sampled_from([-math.inf, math.inf, math.nan, -math.nan, -700.0, 0.0, 1.5]),
+)
+
+
+@st.composite
+def _lse_rows(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.sampled_from([1, 2, 9, 64, 129]))
+    a = draw(arrays(np.float64, (rows, cols), elements=_LSE_TERMS))
+    for r in range(rows):
+        if cols > 1 and draw(st.booleans()):  # tie the row maximum
+            a[r, draw(st.integers(0, cols - 1))] = a[r].max()
+    blank = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    a[np.array(blank)] = -math.inf
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lse_rows())
+def test_logsumexp_rows_matches_scipy_bit_for_bit(a):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got = bayes._logsumexp_rows(a)
+    assert got.tobytes() == logsumexp(a, axis=1).tobytes()
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POSITIVE, _POSITIVE, st.booleans())
+def test_geomspace_matches_numpy_bit_for_bit(a, b, same):
+    lo, hi = (a, a) if same else (min(a, b), max(a, b))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        expected = np.geomspace(lo, hi, 65)
+        got = bayes._geomspace(lo, hi)
+    assert got.tobytes() == expected.tobytes()
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _quadrature_case(draw):
+    mu = draw(st.floats(-100.0, 100.0))
+    sigma = math.exp(draw(st.floats(-30.0, 4.0)))
+    mode = math.exp(mu - sigma * sigma)
+    value = st.one_of(
+        st.floats(-50.0, 50.0),
+        _log_uniform(-300.0, 300.0),
+        _log_uniform(-300.0, 300.0).map(lambda v: -v),
+        st.just(mode),
+        st.just(math.exp(mu)),
+    )
+    noise = st.one_of(_log_uniform(-300.0, 300.0), _log_uniform(-3.0, 1.0))
+    m = draw(st.integers(1, 4))
+    values = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    noise_sd = np.array(draw(st.lists(noise, min_size=m, max_size=m)))
+    return LognormalParams(mu, sigma), values, noise_sd
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quadrature_case())
+def test_quadrature_matches_library_built_reference_bit_for_bit(case):
+    theta, values, noise = case
+    got = bayes._per_observation_log_likelihood(theta, values, noise)
+    assert got.tobytes() == reference_quadrature(theta, values, noise).tobytes()
+
+
 # ----------------------------------------------------------------- log_prior
 
 
@@ -187,6 +276,26 @@ def test_tight_prior_dominates_single_observation():
     post = map_update(state, obs)
     assert expected_duration(post.params) == pytest.approx(10.0, rel=0.02)
     assert achieved(post, obs, state.hyper) >= grid_best(obs, state.hyper) - 1e-3
+
+
+def test_grid_fallback_recovers_when_nelder_mead_sees_only_minus_inf(monkeypatch):
+    # The start lies outside the mu box, so every Nelder-Mead probe is -inf;
+    # the 41 x 41 grid around it reaches back inside the box.
+    calls = []
+    grid_argmax = bayes._grid_argmax
+
+    def counted(*args):
+        calls.append(args)
+        return grid_argmax(*args)
+
+    monkeypatch.setattr(bayes, "_grid_argmax", counted)
+    state = make_initial_state(LognormalParams(202.0, 0.5))
+    observed = math.exp(199.5)
+    post = map_update(state, [ObservationRecord(0, observed, 0.1 * observed)])
+    assert len(calls) == 1
+    assert math.isfinite(post.params.mu) and math.isfinite(post.params.sigma)
+    assert abs(post.params.mu) <= 200.0
+    assert post.observation_count == 1
 
 
 def test_optimizer_beats_grid_on_random_cases():

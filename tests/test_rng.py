@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from conftest import splitmix64_uniform
 from stoched.rng import normals, stream_key, uniforms
 
 
@@ -40,3 +41,22 @@ def test_distinct_keys_decorrelate():
     c = normals(stream_key(11, "y"), counters)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
     assert abs(np.corrcoef(a, c)[0, 1]) < 0.02
+
+
+def test_uniforms_match_pure_python_splitmix64():
+    rng = np.random.default_rng(23)
+    counters = np.concatenate([
+        np.array([0, 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+        rng.integers(0, 2**64, size=300, dtype=np.uint64, endpoint=False),
+    ])
+    for key in (0, stream_key(9, "sim"), 2**64 - 1):
+        expected = [splitmix64_uniform(key, int(c)) for c in counters]
+        assert uniforms(key, counters).tolist() == expected
+
+
+def test_uniforms_leave_counters_unchanged():
+    counters = np.arange(1000, dtype=np.uint64) * np.uint64(7919)
+    before = counters.copy()
+    uniforms(stream_key(4, "u"), counters)
+    normals(stream_key(4, "u"), counters)
+    assert np.array_equal(counters, before)
