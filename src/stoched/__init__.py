@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .bayes import (
     ObservationRecord,
     PosteriorState,
-    PriorHyper,
     log_prior,
-    make_initial_state,
     map_update,
     marginal_log_likelihood,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "LognormalParams",
     "ObservationRecord",
     "PosteriorState",
-    "PriorHyper",
     "ProjectNetwork",
     "PsplibInstance",
     "Scenario",
@@ -83,7 +80,6 @@ __all__ = [
     "generate_observations",
     "log_prior",
     "mae",
-    "make_initial_state",
     "make_scenario",
     "map_update",
     "marginal_log_likelihood",

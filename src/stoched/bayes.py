@@ -10,11 +10,12 @@ which has no closed form; it is evaluated by a fixed deterministic
 trapezoid quadrature in d. The quadrature runs in plain numpy: its
 log-spaced nodes and its log-sum-exp reproduce np.geomspace and
 scipy.special.logsumexp bit for bit, without their per-call overhead.
-The prior over theta is Normal on mu and Normal on ln sigma. A MAP
-update maximizes log-likelihood plus log-prior with Nelder-Mead in
-(mu, ln sigma) space; recursion means each update re-anchors the prior
-centers at the new MAP estimate and discards the consumed observations,
-so memory per activity stays constant.
+The prior over theta is Normal on mu and Normal on ln sigma, centered
+at the state's own params. A MAP update maximizes log-likelihood plus
+log-prior with Nelder-Mead in (mu, ln sigma) space and returns a state
+at the new MAP estimate, so the next update's prior is centered there;
+the consumed observations are discarded, and memory per activity stays
+constant.
 
 Sampling after an update uses Lognormal(theta_MAP) directly (plug-in
 predictive); parameter uncertainty around the MAP point is not
@@ -65,36 +66,28 @@ class ObservationRecord:
     observed_duration: float  # may be <= 0: noise is Gaussian
     noise_sd: float  # > 0
 
-
-@dataclass(frozen=True)
-class PriorHyper:
-    mu0: float
-    tau_mu: float
-    log_sigma0: float
-    tau_log_sigma: float
+    def __post_init__(self) -> None:
+        if self.activity < 0:
+            raise ValueError(f"activity index must be >= 0, got {self.activity}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd > 0):
+            raise ValueError(f"noise_sd must be finite and > 0, got {self.noise_sd}")
+        if not math.isfinite(self.observed_duration):
+            raise ValueError(
+                f"observed duration must be finite, got {self.observed_duration}"
+            )
 
 
 @dataclass(frozen=True)
 class PosteriorState:
+    """Lognormal params and the prior of the next update, which is
+    centered at params: mu ~ Normal(params.mu, tau_mu) and
+    ln sigma ~ Normal(ln params.sigma, tau_log_sigma). A new state is the
+    initial state, and an update with no observations is a fixpoint."""
+
     params: LognormalParams
-    observation_count: int
-    hyper: PriorHyper
-
-
-def make_initial_state(
-    params: LognormalParams,
-    tau_mu: float = DEFAULT_TAU_MU,
-    tau_log_sigma: float = DEFAULT_TAU_LOG_SIGMA,
-) -> PosteriorState:
-    """State whose prior is centered exactly at params (its mode), so an
-    update with no observations is a fixpoint."""
-    hyper = PriorHyper(
-        mu0=params.mu,
-        tau_mu=tau_mu,
-        log_sigma0=math.log(params.sigma),
-        tau_log_sigma=tau_log_sigma,
-    )
-    return PosteriorState(params=params, observation_count=0, hyper=hyper)
+    observation_count: int = 0
+    tau_mu: float = DEFAULT_TAU_MU
+    tau_log_sigma: float = DEFAULT_TAU_LOG_SIGMA
 
 
 def _validate_records(obs: Sequence[ObservationRecord]) -> None:
@@ -103,11 +96,6 @@ def _validate_records(obs: Sequence[ObservationRecord]) -> None:
         raise MixedActivities(
             f"observation batch spans activities {sorted(activities)}"
         )
-    for o in obs:
-        if not (math.isfinite(o.noise_sd) and o.noise_sd > 0):
-            raise ValueError(f"noise_sd must be finite and > 0, got {o.noise_sd}")
-        if not math.isfinite(o.observed_duration):
-            raise ValueError(f"observed duration must be finite, got {o.observed_duration}")
 
 
 def marginal_log_likelihood(
@@ -205,29 +193,30 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_prior(theta: LognormalParams, hyper: PriorHyper) -> float:
-    """Normal log-density on mu plus Normal log-density on ln sigma."""
-    z_mu = (theta.mu - hyper.mu0) / hyper.tau_mu
-    z_ls = (math.log(theta.sigma) - hyper.log_sigma0) / hyper.tau_log_sigma
+def log_prior(theta: LognormalParams, state: PosteriorState) -> float:
+    """Normal log-density on mu plus Normal log-density on ln sigma, both
+    centered at state.params."""
+    z_mu = (theta.mu - state.params.mu) / state.tau_mu
+    z_ls = (math.log(theta.sigma) - math.log(state.params.sigma)) / state.tau_log_sigma
     return (
         -0.5 * z_mu * z_mu
-        - math.log(hyper.tau_mu)
+        - math.log(state.tau_mu)
         - _LOG_SQRT_2PI
         - 0.5 * z_ls * z_ls
-        - math.log(hyper.tau_log_sigma)
+        - math.log(state.tau_log_sigma)
         - _LOG_SQRT_2PI
     )
 
 
 def _objective(
-    mu: float, log_sigma: float, obs: Sequence[ObservationRecord], hyper: PriorHyper
+    mu: float, log_sigma: float, obs: Sequence[ObservationRecord], state: PosteriorState
 ) -> float:
     if abs(mu) > _MU_BOUND or not _LOG_SIGMA_LO <= log_sigma <= _LOG_SIGMA_HI:
         return -math.inf
     if abs(mu) + 6.0 * math.exp(log_sigma) > _LOG_SPAN_MAX:
         return -math.inf
     theta = LognormalParams(mu=mu, sigma=math.exp(log_sigma))
-    return marginal_log_likelihood(theta, obs) + log_prior(theta, hyper)
+    return marginal_log_likelihood(theta, obs) + log_prior(theta, state)
 
 
 def map_update(
@@ -236,9 +225,9 @@ def map_update(
     """Posterior state after absorbing a batch of observations.
 
     params becomes the argmax of marginal_log_likelihood + log_prior; the
-    prior centers are then re-anchored at the new params (with unchanged
-    taus) and the consumed observations are discarded. An empty batch
-    returns the state unchanged: the prior's argmax is its own center.
+    new state keeps the taus, so its prior is centered at the new params,
+    and the consumed observations are discarded. An empty batch returns
+    the state unchanged: the prior's argmax is its own center.
     Raises OptimizationFailed when the objective is non-finite everywhere
     or the MAP mean duration exp(mu + sigma^2/2) would overflow.
     """
@@ -246,10 +235,9 @@ def map_update(
     _validate_records(obs)
     if not obs:
         return state
-    hyper = state.hyper
 
     def negated(x: np.ndarray) -> float:
-        return -_objective(float(x[0]), float(x[1]), obs, hyper)
+        return -_objective(float(x[0]), float(x[1]), obs, state)
 
     x0 = np.array([state.params.mu, math.log(state.params.sigma)])
     # A simplex that sees only -inf subtracts inf from inf in its
@@ -265,7 +253,7 @@ def map_update(
     best_value = -float(result.fun)
 
     if not math.isfinite(best_value):
-        best_mu, best_log_sigma, best_value = _grid_argmax(x0, obs, hyper)
+        best_mu, best_log_sigma, best_value = _grid_argmax(x0, obs, state)
         if not math.isfinite(best_value):
             raise OptimizationFailed(
                 "MAP objective is non-finite at every probe point"
@@ -279,21 +267,16 @@ def map_update(
     params = LognormalParams(
         mu=best_mu, sigma=max(math.exp(best_log_sigma), SIGMA_MIN)
     )
-    new_hyper = PriorHyper(
-        mu0=params.mu,
-        tau_mu=hyper.tau_mu,
-        log_sigma0=math.log(params.sigma),
-        tau_log_sigma=hyper.tau_log_sigma,
-    )
     return PosteriorState(
-        params=params,
-        observation_count=state.observation_count + len(obs),
-        hyper=new_hyper,
+        params,
+        state.observation_count + len(obs),
+        state.tau_mu,
+        state.tau_log_sigma,
     )
 
 
 def _grid_argmax(
-    x0: np.ndarray, obs: Sequence[ObservationRecord], hyper: PriorHyper
+    x0: np.ndarray, obs: Sequence[ObservationRecord], state: PosteriorState
 ) -> tuple[float, float, float]:
     """Coarse grid fallback around the starting point."""
     mus = np.linspace(x0[0] - 3.0, x0[0] + 3.0, _GRID_SIZE)
@@ -301,7 +284,7 @@ def _grid_argmax(
     best = (float(x0[0]), float(x0[1]), -math.inf)
     for mu in mus:
         for ls in log_sigmas:
-            value = _objective(float(mu), float(ls), obs, hyper)
+            value = _objective(float(mu), float(ls), obs, state)
             if value > best[2]:
                 best = (float(mu), float(ls), value)
     return best
@@ -333,17 +316,9 @@ def parse_observation_text(text: str) -> list[tuple[int, ObservationRecord]]:
             raise ObservationFormatError(
                 f"line {lineno}: non-numeric field in {raw!r}"
             ) from exc
-        if activity < 0:
-            raise ObservationFormatError(
-                f"line {lineno}: activity index must be >= 0, got {activity}"
-            )
-        if not (math.isfinite(noise_sd) and noise_sd > 0):
-            raise ObservationFormatError(
-                f"line {lineno}: noise_sd must be finite and > 0, got {tokens[2]}"
-            )
-        if not math.isfinite(observed):
-            raise ObservationFormatError(
-                f"line {lineno}: observed duration must be finite, got {tokens[1]}"
-            )
-        records.append((lineno, ObservationRecord(activity, observed, noise_sd)))
+        try:
+            record = ObservationRecord(activity, observed, noise_sd)
+        except ValueError as exc:
+            raise ObservationFormatError(f"line {lineno}: {exc}") from exc
+        records.append((lineno, record))
     return records

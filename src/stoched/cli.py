@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .bayes import make_initial_state, map_update, parse_observation_text
+from .bayes import DEFAULT_TAU_LOG_SIGMA, DEFAULT_TAU_MU, parse_observation_text
 from .durations import SIGMA_MIN, expected_duration, priors_from_baselines
 from .errors import (
     ConfigError,
@@ -253,11 +253,10 @@ def cmd_forecast(args) -> int:
     target = _resolve_target(args.target, det)
 
     inputs = [args.path]
-    grouped: dict[int, list] = {}
+    records = []
     if args.command == "update":
         inputs.append(args.observations)
-        records = parse_observation_text(_read_text(args.observations))
-        for lineno, record in records:
+        for lineno, record in parse_observation_text(_read_text(args.observations)):
             if record.activity >= net.activity_count:
                 raise UnknownActivityIndex(
                     f"{args.observations} line {lineno}: activity {record.activity} "
@@ -268,13 +267,14 @@ def cmd_forecast(args) -> int:
                     f"{args.observations} line {lineno}: activity {record.activity} "
                     "is a frozen dummy and cannot be observed"
                 )
-            grouped.setdefault(record.activity, []).append(record)
+            records.append(record)
 
-    states = {
-        activity: map_update(make_initial_state(priors[activity]), recs)
-        for activity, recs in grouped.items()
-    }
-    posterior = posterior_models(priors, states)
+    posterior = posterior_models(
+        priors, [records], {}, DEFAULT_TAU_MU, DEFAULT_TAU_LOG_SIGMA
+    )
+    observation_counts = [0] * net.activity_count
+    for record in records:
+        observation_counts[record.activity] += 1
     result = simulate(
         net,
         posterior,
@@ -299,9 +299,7 @@ def cmd_forecast(args) -> int:
         "critical_counts": [int(c) for c in result.critical_counts],
         "prior_expected_durations": [expected_duration(m) for m in priors],
         "posterior_expected_durations": [expected_duration(m) for m in posterior],
-        "observation_counts": [
-            len(grouped.get(i, ())) for i in range(net.activity_count)
-        ],
+        "observation_counts": observation_counts,
     }
     _print_json(payload)
     if args.out:

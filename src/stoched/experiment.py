@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bayes import ObservationRecord, PosteriorState, make_initial_state, map_update
+from .bayes import ObservationRecord, PosteriorState, map_update
 from .durations import (
     DurationModel,
     expected_duration,
@@ -264,8 +264,30 @@ def _cached(memo: dict, key, compute):
 
 
 def posterior_models(
-    priors: Sequence[DurationModel], states: dict[int, PosteriorState]
+    priors: Sequence[DurationModel],
+    batches: Iterable[Sequence[ObservationRecord]],
+    memo: dict,
+    tau_mu: float,
+    tau_log_sigma: float,
 ) -> list[DurationModel]:
+    """Priors updated by each batch in turn: one map_update per activity
+    and batch, over that activity's records in batch order, stored in
+    memo under (state, records). Activities without observations keep
+    their prior object."""
+    states: dict[int, PosteriorState] = {}
+    for batch in batches:
+        grouped: dict[int, list[ObservationRecord]] = {}
+        for record in batch:
+            grouped.setdefault(record.activity, []).append(record)
+        for activity, records in grouped.items():
+            state = states.get(activity)
+            if state is None:
+                state = PosteriorState(
+                    priors[activity], tau_mu=tau_mu, tau_log_sigma=tau_log_sigma
+                )
+            states[activity] = _cached(
+                memo, (state, tuple(records)), lambda: map_update(state, records)
+            )
     return [
         states[i].params if i in states else priors[i]
         for i in range(len(priors))
@@ -274,28 +296,13 @@ def posterior_models(
 
 def _posterior(scenario: Scenario, strategy: str) -> list[DurationModel]:
     """Priors updated by every observation batch the strategy delivers."""
-    priors = scenario.priors
-    states = {
-        i: make_initial_state(
-            priors[i],
-            tau_mu=PRIOR_TAU_MU,
-            tau_log_sigma=PRIOR_TAU_LOG_SIGMA,
-        )
-        for i in range(len(priors))
-        if not is_frozen(priors[i])
-    }
-    for batch in observation_batches(scenario.observations, strategy):
-        grouped: dict[int, list[ObservationRecord]] = {}
-        for record in batch:
-            grouped.setdefault(record.activity, []).append(record)
-        for activity, records in grouped.items():
-            state = states[activity]
-            states[activity] = _cached(
-                scenario.memo,
-                (state, tuple(records)),
-                lambda: map_update(state, records),
-            )
-    return posterior_models(priors, states)
+    return posterior_models(
+        scenario.priors,
+        observation_batches(scenario.observations, strategy),
+        scenario.memo,
+        PRIOR_TAU_MU,
+        PRIOR_TAU_LOG_SIGMA,
+    )
 
 
 def _forecast(

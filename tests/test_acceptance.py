@@ -20,8 +20,8 @@ from scipy import stats
 from conftest import FIXTURE_DIR, path_max, random_dag, read_fixture
 from stoched.bayes import (
     ObservationRecord,
+    PosteriorState,
     log_prior,
-    make_initial_state,
     map_update,
     marginal_log_likelihood,
 )
@@ -158,37 +158,37 @@ def test_03_sample_mean_matches_lognormal_identity():
 def test_04_map_updates_match_grid_search_and_shrink():
     start = time.perf_counter()
 
-    def grid_best(obs, hyper, n=200):
+    def grid_best(obs, prior, n=200):
         # exhaustive lower bound on the achievable objective
         best = -math.inf
         for mu in np.linspace(math.log(5.0), math.log(30.0), n):
             for sigma in np.linspace(1e-3, 1.5, n):
                 theta = LognormalParams(float(mu), float(sigma))
-                value = marginal_log_likelihood(theta, obs) + log_prior(theta, hyper)
+                value = marginal_log_likelihood(theta, obs) + log_prior(theta, prior)
                 best = max(best, value)
         return best
 
     # consensus case: many identical observations, vague location prior
-    state = make_initial_state(from_baseline(10.0, 0.3), tau_mu=10.0)
+    state = PosteriorState(from_baseline(10.0, 0.3), tau_mu=10.0)
     obs = [ObservationRecord(0, 14.0, 0.1) for _ in range(50)]
     post = map_update(state, obs)
     assert 13.5 <= expected_duration(post.params) <= 14.5
     achieved = marginal_log_likelihood(post.params, obs) + log_prior(
-        post.params, state.hyper
+        post.params, state
     )
-    assert achieved >= grid_best(obs, state.hyper) - 1e-3
+    assert achieved >= grid_best(obs, state) - 1e-3
 
     # dominance case: near-rigid location prior, single discordant record
-    state = make_initial_state(
+    state = PosteriorState(
         LognormalParams(math.log(10.0) - 0.045, 0.3), tau_mu=0.01
     )
     obs = [ObservationRecord(0, 14.0, 1.0)]
     post = map_update(state, obs)
     assert expected_duration(post.params) == pytest.approx(10.0, rel=0.02)
     achieved = marginal_log_likelihood(post.params, obs) + log_prior(
-        post.params, state.hyper
+        post.params, state
     )
-    assert achieved >= grid_best(obs, state.hyper) - 1e-3
+    assert achieved >= grid_best(obs, state) - 1e-3
 
     # posterior pull: estimate sandwiched between prior mean and sample mean
     pull_cases = [
@@ -200,7 +200,7 @@ def test_04_map_updates_match_grid_search_and_shrink():
         ([5.0, 6.5, 8.5, 4.5], 0.5),
     ]
     for values, noise_sd in pull_cases:
-        state = make_initial_state(from_baseline(10.0, 0.3))
+        state = PosteriorState(from_baseline(10.0, 0.3))
         post = map_update(state, [ObservationRecord(0, v, noise_sd) for v in values])
         e = expected_duration(post.params)
         lo, hi = sorted((10.0, float(np.mean(values))))
@@ -212,7 +212,7 @@ def test_04_map_updates_match_grid_search_and_shrink():
     errors = {k: [] for k in checkpoints}
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        state = make_initial_state(from_baseline(8.0, 0.3))
+        state = PosteriorState(from_baseline(8.0, 0.3))
         consumed = 0
         for k in checkpoints:
             batch = [

@@ -24,9 +24,7 @@ from stoched import bayes
 from stoched.bayes import (
     ObservationRecord,
     PosteriorState,
-    PriorHyper,
     log_prior,
-    make_initial_state,
     map_update,
     marginal_log_likelihood,
     parse_observation_text,
@@ -56,20 +54,20 @@ def oracle_mll(theta: LognormalParams, obs) -> float:
     return total
 
 
-def grid_best(obs, hyper: PriorHyper, n: int = 120) -> float:
+def grid_best(obs, prior: PosteriorState, n: int = 120) -> float:
     """Best objective value found by exhaustive grid search over
     mu in [ln 5, ln 30] x sigma in [1e-3, 1.5]."""
     best = -math.inf
     for mu in np.linspace(math.log(5.0), math.log(30.0), n):
         for sigma in np.linspace(1e-3, 1.5, n):
             theta = LognormalParams(float(mu), float(sigma))
-            value = marginal_log_likelihood(theta, obs) + log_prior(theta, hyper)
+            value = marginal_log_likelihood(theta, obs) + log_prior(theta, prior)
             best = max(best, value)
     return best
 
 
-def achieved(state: PosteriorState, obs, hyper: PriorHyper) -> float:
-    return marginal_log_likelihood(state.params, obs) + log_prior(state.params, hyper)
+def achieved(state: PosteriorState, obs, prior: PosteriorState) -> float:
+    return marginal_log_likelihood(state.params, obs) + log_prior(state.params, prior)
 
 
 # ---------------------------------------------------------------- likelihood
@@ -132,7 +130,7 @@ def test_mixed_activities_rejected():
     with pytest.raises(MixedActivities):
         marginal_log_likelihood(theta, obs)
     with pytest.raises(MixedActivities):
-        map_update(make_initial_state(theta), obs)
+        map_update(PosteriorState(theta), obs)
 
 
 @pytest.mark.parametrize("noise_sd", [0.0, -1.0, float("nan"), float("inf")])
@@ -236,18 +234,18 @@ def test_quadrature_matches_library_built_reference_bit_for_bit(case):
 
 
 def test_log_prior_peaks_at_center_and_drops_half_per_tau():
-    hyper = PriorHyper(mu0=2.0, tau_mu=0.5, log_sigma0=math.log(0.3), tau_log_sigma=0.5)
-    center = log_prior(LognormalParams(2.0, 0.3), hyper)
-    assert center > log_prior(LognormalParams(2.4, 0.3), hyper)
-    assert center > log_prior(LognormalParams(2.0, 0.5), hyper)
-    one_tau = log_prior(LognormalParams(2.5, 0.3), hyper)
+    prior = PosteriorState(LognormalParams(2.0, 0.3), tau_mu=0.5, tau_log_sigma=0.5)
+    center = log_prior(LognormalParams(2.0, 0.3), prior)
+    assert center > log_prior(LognormalParams(2.4, 0.3), prior)
+    assert center > log_prior(LognormalParams(2.0, 0.5), prior)
+    one_tau = log_prior(LognormalParams(2.5, 0.3), prior)
     assert center - one_tau == pytest.approx(0.5)
 
 
 def test_vague_prior_is_flat_in_mu():
-    hyper = PriorHyper(mu0=2.0, tau_mu=1e6, log_sigma0=math.log(0.3), tau_log_sigma=0.5)
-    a = log_prior(LognormalParams(1.0, 0.3), hyper)
-    b = log_prior(LognormalParams(3.0, 0.3), hyper)
+    prior = PosteriorState(LognormalParams(2.0, 0.3), tau_mu=1e6, tau_log_sigma=0.5)
+    a = log_prior(LognormalParams(1.0, 0.3), prior)
+    b = log_prior(LognormalParams(3.0, 0.3), prior)
     assert abs(a - b) < 1e-6
 
 
@@ -255,27 +253,27 @@ def test_vague_prior_is_flat_in_mu():
 
 
 def test_empty_update_is_fixpoint():
-    state = make_initial_state(from_baseline(10.0, 0.3))
+    state = PosteriorState(from_baseline(10.0, 0.3))
     after = map_update(state, [])
     assert after.params == state.params
     assert after.observation_count == 0
 
 
 def test_repeated_observations_pull_to_consensus_with_vague_prior():
-    state = make_initial_state(from_baseline(10.0, 0.3), tau_mu=10.0)
+    state = PosteriorState(from_baseline(10.0, 0.3), tau_mu=10.0)
     obs = [ObservationRecord(0, 14.0, 0.1) for _ in range(50)]
     post = map_update(state, obs)
     assert 13.5 <= expected_duration(post.params) <= 14.5
-    assert achieved(post, obs, state.hyper) >= grid_best(obs, state.hyper) - 1e-3
+    assert achieved(post, obs, state) >= grid_best(obs, state) - 1e-3
 
 
 def test_tight_prior_dominates_single_observation():
     prior = LognormalParams(math.log(10.0) - 0.045, 0.3)
-    state = make_initial_state(prior, tau_mu=0.01)
+    state = PosteriorState(prior, tau_mu=0.01)
     obs = [ObservationRecord(0, 14.0, 1.0)]
     post = map_update(state, obs)
     assert expected_duration(post.params) == pytest.approx(10.0, rel=0.02)
-    assert achieved(post, obs, state.hyper) >= grid_best(obs, state.hyper) - 1e-3
+    assert achieved(post, obs, state) >= grid_best(obs, state) - 1e-3
 
 
 def test_grid_fallback_recovers_when_nelder_mead_sees_only_minus_inf(monkeypatch):
@@ -289,7 +287,7 @@ def test_grid_fallback_recovers_when_nelder_mead_sees_only_minus_inf(monkeypatch
         return grid_argmax(*args)
 
     monkeypatch.setattr(bayes, "_grid_argmax", counted)
-    state = make_initial_state(LognormalParams(202.0, 0.5))
+    state = PosteriorState(LognormalParams(202.0, 0.5))
     observed = math.exp(199.5)
     post = map_update(state, [ObservationRecord(0, observed, 0.1 * observed)])
     assert len(calls) == 1
@@ -301,7 +299,7 @@ def test_grid_fallback_recovers_when_nelder_mead_sees_only_minus_inf(monkeypatch
 def test_optimizer_beats_grid_on_random_cases():
     rng = np.random.default_rng(19)
     for _ in range(3):
-        state = make_initial_state(from_baseline(float(rng.uniform(6.0, 18.0)), 0.3))
+        state = PosteriorState(from_baseline(float(rng.uniform(6.0, 18.0)), 0.3))
         obs = [
             ObservationRecord(
                 0, float(rng.uniform(5.0, 28.0)), float(rng.uniform(0.2, 1.5))
@@ -309,7 +307,7 @@ def test_optimizer_beats_grid_on_random_cases():
             for _ in range(int(rng.integers(1, 6)))
         ]
         post = map_update(state, obs)
-        assert achieved(post, obs, state.hyper) >= grid_best(obs, state.hyper, n=60) - 1e-3
+        assert achieved(post, obs, state) >= grid_best(obs, state, n=60) - 1e-3
 
 
 PULL_ABOVE = [
@@ -332,7 +330,7 @@ PULL_BELOW = [
 def test_posterior_pulled_between_prior_and_sample_mean_from_above(
     tau_mu, values, noise_sd
 ):
-    state = make_initial_state(from_baseline(10.0, 0.3), tau_mu=tau_mu)
+    state = PosteriorState(from_baseline(10.0, 0.3), tau_mu=tau_mu)
     post = map_update(state, [ObservationRecord(0, v, noise_sd) for v in values])
     e = expected_duration(post.params)
     assert 10.0 - 1e-9 <= e <= float(np.mean(values)) + 1e-9
@@ -343,7 +341,7 @@ def test_posterior_pulled_between_prior_and_sample_mean_from_above(
 def test_posterior_pulled_between_prior_and_sample_mean_from_below(
     tau_mu, values, noise_sd
 ):
-    state = make_initial_state(from_baseline(10.0, 0.3), tau_mu=tau_mu)
+    state = PosteriorState(from_baseline(10.0, 0.3), tau_mu=tau_mu)
     post = map_update(state, [ObservationRecord(0, v, noise_sd) for v in values])
     e = expected_duration(post.params)
     assert float(np.mean(values)) - 1e-9 <= e <= 10.0 + 1e-9
@@ -355,7 +353,7 @@ def test_estimate_error_shrinks_with_more_observations():
     errors = {k: [] for k in checkpoints}
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        state = make_initial_state(from_baseline(8.0, 0.3))
+        state = PosteriorState(from_baseline(8.0, 0.3))
         consumed = 0
         for k in checkpoints:
             batch = [
@@ -370,7 +368,7 @@ def test_estimate_error_shrinks_with_more_observations():
 
 
 def test_batch_permutation_gives_identical_params():
-    state = make_initial_state(from_baseline(9.0, 0.3))
+    state = PosteriorState(from_baseline(9.0, 0.3))
     obs = [
         ObservationRecord(0, 11.0, 0.4),
         ObservationRecord(0, 7.5, 0.6),
@@ -383,7 +381,7 @@ def test_batch_permutation_gives_identical_params():
 
 
 def test_observation_count_accumulates_across_updates():
-    state = make_initial_state(from_baseline(9.0, 0.3))
+    state = PosteriorState(from_baseline(9.0, 0.3))
     state = map_update(state, [ObservationRecord(0, 10.0, 0.5)] * 3)
     assert state.observation_count == 3
     state = map_update(state, [ObservationRecord(0, 11.0, 0.5)] * 2)
@@ -391,12 +389,16 @@ def test_observation_count_accumulates_across_updates():
 
 
 def test_update_reanchors_prior_at_new_params():
-    state = make_initial_state(from_baseline(9.0, 0.3), tau_mu=0.4, tau_log_sigma=0.7)
+    state = PosteriorState(from_baseline(9.0, 0.3), tau_mu=0.4, tau_log_sigma=0.7)
     post = map_update(state, [ObservationRecord(0, 12.0, 0.5)])
-    assert post.hyper.mu0 == post.params.mu
-    assert post.hyper.log_sigma0 == math.log(post.params.sigma)
-    assert post.hyper.tau_mu == 0.4
-    assert post.hyper.tau_log_sigma == 0.7
+    assert post.tau_mu == 0.4
+    assert post.tau_log_sigma == 0.7
+    mu, sigma = post.params.mu, post.params.sigma
+    nearby = [(mu + 1e-3, sigma), (mu - 1e-3, sigma), (mu, sigma * 1.001), (mu, sigma / 1.001)]
+    assert all(
+        log_prior(post.params, post) > log_prior(LognormalParams(m, s), post)
+        for m, s in nearby
+    )
     assert post.params.mu != state.params.mu
 
 

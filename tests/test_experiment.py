@@ -10,7 +10,7 @@ import pytest
 
 import stoched.experiment
 from conftest import diamond, read_fixture
-from stoched.bayes import ObservationRecord, make_initial_state, map_update
+from stoched.bayes import ObservationRecord, PosteriorState, map_update
 from stoched.durations import is_frozen, priors_from_baselines
 from stoched.errors import ConfigError
 from stoched.experiment import (
@@ -35,6 +35,7 @@ from stoched.experiment import (
     make_scenario,
     median_rmse_by_method,
     observation_batches,
+    posterior_models,
     run_matrix,
     run_method,
 )
@@ -282,25 +283,55 @@ def test_updates_shrink_log_errors_when_observations_are_nearly_exact(j30):
     factors = []
     for seed in range(3):
         truth, records = _observations(net, baselines, "moderate", seed, noise_fraction=1e-6)
-        states = {
-            i: make_initial_state(
-                priors[i], tau_mu=PRIOR_TAU_MU, tau_log_sigma=PRIOR_TAU_LOG_SIGMA
-            )
-            for i in range(len(priors))
-            if not is_frozen(priors[i])
-        }
-        for batch in observation_batches(records, "continuous"):
-            for r in batch:
-                states[r.activity] = map_update(states[r.activity], [r])
+        posterior = posterior_models(
+            priors,
+            observation_batches(records, "continuous"),
+            {},
+            PRIOR_TAU_MU,
+            PRIOR_TAU_LOG_SIGMA,
+        )
         prior_sq, post_sq = [], []
         for i, model in enumerate(priors):
             if is_frozen(model):
                 continue
             log_true = math.log(truth.true_durations[i])
             prior_sq.append((model.mu - log_true) ** 2)
-            post_sq.append((states[i].params.mu - log_true) ** 2)
+            post_sq.append((posterior[i].mu - log_true) ** 2)
         factors.append(math.sqrt(np.mean(post_sq) / np.mean(prior_sq)))
     assert max(factors) <= 0.6
+
+
+# ----------------------------------------------------------- posterior_models
+
+# Diamond priors: activities 0 and 3 are frozen dummies, 1 and 2 stochastic.
+DIAMOND_PRIORS = _priors(np.array([0.0, 4.0, 5.0, 0.0]))
+
+
+def test_posterior_models_makes_one_update_per_activity_in_batch_order():
+    batch = [
+        ObservationRecord(2, 6.0, 0.5),
+        ObservationRecord(1, 3.5, 0.4),
+        ObservationRecord(2, 5.5, 0.5),
+    ]
+    posterior = posterior_models(DIAMOND_PRIORS, [batch], {}, 0.4, 0.7)
+    for activity in (1, 2):
+        state = PosteriorState(DIAMOND_PRIORS[activity], tau_mu=0.4, tau_log_sigma=0.7)
+        own = [r for r in batch if r.activity == activity]
+        assert posterior[activity] == map_update(state, own).params
+    assert posterior[0] is DIAMOND_PRIORS[0] and posterior[3] is DIAMOND_PRIORS[3]
+    unobserved = posterior_models(DIAMOND_PRIORS, [batch[:1]], {}, 0.4, 0.7)
+    assert unobserved[1] is DIAMOND_PRIORS[1]
+
+
+def test_posterior_models_reuses_memoized_updates(monkeypatch):
+    batches = [[ObservationRecord(1, 3.5, 0.4)], [ObservationRecord(1, 4.5, 0.4)]]
+    memo: dict = {}
+    first = posterior_models(DIAMOND_PRIORS, batches, memo, 0.4, 0.7)
+    counts = _count_calls(monkeypatch, names=("map_update",))
+    again = posterior_models(DIAMOND_PRIORS, batches, memo, 0.4, 0.7)
+    assert counts == {"map_update": 0}
+    assert again == first
+    assert len(memo) == 2
 
 
 def test_full_framework_strategies_update_through_different_cycles():
