@@ -35,7 +35,7 @@ from .experiment import (
     run_matrix,
     run_method,
 )
-from .metrics import mae, rmse, scalar_rmse
+from .metrics import mae, rmse
 from .network import (
     CpmResult,
     ProjectNetwork,
@@ -89,7 +89,6 @@ __all__ = [
     "rmse",
     "run_matrix",
     "run_method",
-    "scalar_rmse",
     "simulate",
     "stream_key",
     "to_network",

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .durations import SIGMA_MIN, LognormalParams
 from .errors import MixedActivities, ObservationFormatError, OptimizationFailed
@@ -231,6 +230,8 @@ def map_update(
     Raises OptimizationFailed when the objective is non-finite everywhere
     or the MAP mean duration exp(mu + sigma^2/2) would overflow.
     """
+    from scipy.optimize import minimize  # on first use: keeps it off CLI start-up
+
     obs = tuple(new_obs)
     _validate_records(obs)
     if not obs:

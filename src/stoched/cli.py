@@ -41,6 +41,7 @@ from .errors import (
 )
 from .experiment import (
     METHODS,
+    POINT_METHODS,
     STRATEGIES,
     UNCERTAINTY_SIGMA,
     GridConfig,
@@ -54,7 +55,7 @@ from .experiment import (
 )
 from .network import compute_cpm
 from .psplib import parse_sm, real_activity_count, to_network
-from .simulate import ForecastResult, SimulationConfig, simulate
+from .simulate import SimulationConfig, simulate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -419,7 +420,7 @@ def cmd_experiment(args) -> int:
     created: list[Path] = []
 
     def emit_histogram(row, forecast) -> None:
-        if not isinstance(forecast, ForecastResult):
+        if row.method in POINT_METHODS:
             return
         name = (
             f"hist_{row.instance_name}_{row.method}_{row.strategy}"

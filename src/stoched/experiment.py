@@ -24,18 +24,18 @@ Known limitation: while each activity has a single observation, periodic
 and continuous reach the same posterior, so their rows are equal; the
 strategy axis only separates them once forecasts are scored mid-project.
 
-RMSE for sample-based forecasts is per-replicate deviation from the
-realized completion time; point forecasts are scored by absolute
-deviation. The wall_ms column is a schema placeholder pinned to 0.0 so
-that rows (and the CSV) are bit-exact reproducible; runtime lives in the
-run manifest instead.
+A point forecast is one replicate over frozen durations, scored like
+any other: RMSE is per-replicate deviation from the realized completion
+time, on one sample the absolute deviation. The wall_ms column is a
+schema placeholder pinned to 0.0 so that rows (and the CSV) are
+bit-exact reproducible; runtime lives in the run manifest instead.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,12 +43,13 @@ import numpy as np
 from .bayes import ObservationRecord, PosteriorState, map_update
 from .durations import (
     DurationModel,
+    FrozenDuration,
     expected_duration,
     is_frozen,
     priors_from_baselines,
 )
 from .errors import ConfigError
-from .metrics import mae, rmse, scalar_rmse
+from .metrics import mae, rmse
 from .network import ProjectNetwork, compute_cpm
 from .rng import normals, stream_key
 from .simulate import ForecastResult, SimulationConfig, simulate
@@ -62,6 +63,8 @@ METHODS = (
     "bayes_no_propagation",
     "full_framework",
 )
+# Methods that forecast with one replicate: a CPM pass, no histogram.
+POINT_METHODS = ("deterministic_cpm", "bayes_no_propagation")
 PERIODIC_BATCHES = 4
 
 # Prior confidence used when initializing per-activity posterior states for
@@ -129,6 +132,8 @@ class GridConfig:
             ("strategy", self.strategies, STRATEGIES),
             ("method", self.methods, METHODS),
         ):
+            if not values:
+                raise ConfigError(f"no {axis} given: the grid would be empty")
             for value in values:
                 if value not in allowed:
                     raise ConfigError(f"unknown {axis} {value!r}")
@@ -153,7 +158,7 @@ class Scenario:
     uncertainty: str
     seed: int
     priors: list[DurationModel]
-    det_makespan: float
+    baselines: np.ndarray  # deterministic_cpm freezes these
     sim_cfg: SimulationConfig  # its target_completion is the delay target
     truth: GroundTruth
     observations: list[ObservationRecord]
@@ -176,7 +181,7 @@ def make_scenario(
     """
     baselines = np.asarray(baseline_durations, dtype=np.float64)
     priors = priors_from_baselines(baselines, UNCERTAINTY_SIGMA[uncertainty])
-    det_makespan = float(compute_cpm(net, baselines).completion_time)
+    plan_makespan = float(compute_cpm(net, baselines).completion_time)
     truth = generate_ground_truth(net, priors, seed)
     return Scenario(
         instance_name=instance_name,
@@ -184,11 +189,11 @@ def make_scenario(
         uncertainty=uncertainty,
         seed=seed,
         priors=priors,
-        det_makespan=det_makespan,
+        baselines=baselines,
         sim_cfg=SimulationConfig(
             replicate_count=replicate_count,
             seed=stream_key(seed, "mc"),
-            target_completion=target_rule * det_makespan,
+            target_completion=target_rule * plan_makespan,
         ),
         truth=truth,
         observations=generate_observations(
@@ -306,10 +311,11 @@ def _posterior(scenario: Scenario, strategy: str) -> list[DurationModel]:
 
 
 def _forecast(
-    scenario: Scenario, models: list[DurationModel], workers: int
+    scenario: Scenario, models: list[DurationModel], replicates: int, workers: int
 ) -> ForecastResult:
     def compute() -> ForecastResult:
-        result = simulate(scenario.net, models, scenario.sim_cfg, workers)
+        cfg = replace(scenario.sim_cfg, replicate_count=replicates)
+        result = simulate(scenario.net, models, cfg, workers)
         # Cells share this result: read-only arrays keep one cell's
         # on_result callback from changing another cell's row.
         for array in (
@@ -320,50 +326,44 @@ def _forecast(
             array.setflags(write=False)
         return result
 
-    return _cached(scenario.memo, tuple(models), compute)
+    return _cached(scenario.memo, (tuple(models), replicates), compute)
 
 
 def run_method(
     scenario: Scenario, strategy: str, method: str, workers: int = 1
-) -> tuple[ExperimentRow, ForecastResult | float]:
+) -> tuple[ExperimentRow, ForecastResult]:
     """Score one method under one strategy in one scenario.
 
-    Returns the row plus the final forecast: a ForecastResult for
-    sample-based methods, the point forecast for the deterministic ones.
+    Returns the row plus the final forecast. A point method's forecast
+    is one replicate whose sample is the CPM makespan of its durations.
     """
     if method == "deterministic_cpm":
-        forecast = scenario.det_makespan
+        models = [FrozenDuration(float(d)) for d in scenario.baselines]
     elif method == "static_mc":
-        forecast = _forecast(scenario, scenario.priors, workers)
+        models = scenario.priors
     elif method == "bayes_no_propagation":
-        post_means = [expected_duration(m) for m in _posterior(scenario, strategy)]
-        forecast = float(compute_cpm(scenario.net, post_means).completion_time)
+        means = map(expected_duration, _posterior(scenario, strategy))
+        models = [FrozenDuration(d) for d in means]
     elif method == "full_framework":
-        forecast = _forecast(scenario, _posterior(scenario, strategy), workers)
+        models = _posterior(scenario, strategy)
     else:
         raise ConfigError(f"unknown method {method!r}")
+    replicates = 1 if method in POINT_METHODS else scenario.sim_cfg.replicate_count
+    forecast = _forecast(scenario, models, replicates, workers)
 
     t_true = scenario.truth.t_true
-    if isinstance(forecast, float):
-        error = scalar_rmse(forecast, t_true)
-        late = forecast > scenario.sim_cfg.target_completion
-        scores = (error, error, forecast, 0.0, 1.0 if late else 0.0, 0.0)
-    else:
-        scores = (
-            rmse(forecast.samples, t_true),
-            mae(forecast.samples, t_true),
-            forecast.expected_completion,
-            forecast.completion_variance,
-            forecast.delay_probability,
-            forecast.ci90_width,
-        )
     row = ExperimentRow(
         scenario.instance_name,
         method,
         strategy,
         scenario.uncertainty,
         scenario.seed,
-        *scores,
+        rmse(forecast.samples, t_true),
+        mae(forecast.samples, t_true),
+        forecast.expected_completion,
+        forecast.completion_variance,
+        forecast.delay_probability,
+        forecast.ci90_width,
     )
     return row, forecast
 

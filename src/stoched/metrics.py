@@ -2,9 +2,9 @@
 
 RMSE is the per-replicate root mean square deviation from the realized
 completion time, so for a sample-based forecast it blends estimator bias
-with distribution spread; that is deliberate. Deterministic point
-forecasts are scored with scalar_rmse (absolute deviation), which equals
-rmse of a constant sample vector of any length.
+with distribution spread; that is deliberate. A point forecast is a
+one-replicate forecast, scored by the same functions: on a single sample
+both rmse and mae are its absolute deviation, exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +20,3 @@ def rmse(samples, t_true: float) -> float:
 def mae(samples, t_true: float) -> float:
     x = np.asarray(samples, dtype=np.float64)
     return float(np.mean(np.abs(x - t_true)))
-
-
-def scalar_rmse(point_forecast: float, t_true: float) -> float:
-    """Deviation of a deterministic point forecast."""
-    return abs(point_forecast - t_true)

@@ -254,7 +254,7 @@ EXPERIMENT_CONFIG = f"""
 instances = {J30}
 uncertainty = low
 strategy = none, continuous
-method = deterministic_cpm, full_framework
+method = deterministic_cpm, bayes_no_propagation, full_framework
 replicate_count = 50
 seeds = 1 2
 """
@@ -267,11 +267,12 @@ def test_experiment_end_to_end(tmp_path, capsys):
     payload = stdout_json(
         capsys, "experiment", str(config), "--out", str(out), "--threads", "1"
     )
-    assert payload["rows"] == 8
+    assert payload["rows"] == 12
     assert payload["out_dir"] == str(out)
     assert payload["csv"] == str(out / "results.csv")
     assert set(payload["median_rmse_by_method"]) == {
         "deterministic_cpm",
+        "bayes_no_propagation",
         "full_framework",
     }
 
@@ -279,13 +280,17 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert csv_lines_[0] == (
         "instance,method,strategy,uncertainty,seed,rmse,mae,e_t,var_t,p_delay,ci90,wall_ms"
     )
-    assert len(csv_lines_) == 9
+    assert len(csv_lines_) == 13
     assert all(line.split(",")[0] == "j30_fix_a" for line in csv_lines_[1:])
 
     jsonl = (out / "results.jsonl").read_text().strip().split("\n")
-    assert len(jsonl) == 8
+    assert len(jsonl) == 12
     parsed = [json.loads(line) for line in jsonl]
-    assert {p["method"] for p in parsed} == {"deterministic_cpm", "full_framework"}
+    assert {p["method"] for p in parsed} == {
+        "deterministic_cpm",
+        "bayes_no_propagation",
+        "full_framework",
+    }
     assert all(p["wall_ms"] == 0.0 for p in parsed)
 
     manifest = json.loads((out / "manifest.json").read_text())
@@ -295,7 +300,8 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert manifest["config"]["seeds_used"] == [1, 2]
     assert manifest["config"]["threads"] == 1
 
-    # histograms only for sample-based method rows: 2 strategies x 2 seeds
+    # histograms only for sample-based method rows, none for the two
+    # point methods: 2 strategies x 2 seeds
     hists = sorted(p.name for p in out.glob("hist_*.csv"))
     assert hists == [
         "hist_j30_fix_a_full_framework_continuous_low_1.csv",
@@ -330,6 +336,18 @@ def test_experiment_config_errors(tmp_path, capsys):
         )
         assert code == EXIT_USAGE, text
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["uncertainty", "strategy", "method"])
+def test_experiment_empty_axis_is_usage_error(tmp_path, capsys, key):
+    config = tmp_path / "c.conf"
+    config.write_text(f"instances = {J30}\n{key} =\n")
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "experiment", str(config), "--out", str(out))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert err.startswith("error:") and "no " in err
+    assert not (out / "results.csv").exists()
 
 
 def test_experiment_missing_instance_file(tmp_path, capsys):

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from stoched.metrics import mae, rmse, scalar_rmse
+from stoched.metrics import mae, rmse
 
 
 def test_rmse_and_mae_by_formula():
@@ -17,12 +19,18 @@ def test_rmse_and_mae_by_formula():
     assert mae(samples, 11.0) == pytest.approx((1 + 1 + 3) / 3)
 
 
-def test_scalar_rmse_is_constant_vector_rmse():
-    for n in (1, 7, 500):
-        assert scalar_rmse(13.25, 10.0) == pytest.approx(
-            rmse([13.25] * n, 10.0), abs=1e-12
-        )
-    assert scalar_rmse(9.0, 9.0) == 0.0
+# |f - t| <= 2**500 keeps its square finite; >= 2**-500 keeps it normal
+_BOUNDED = st.floats(min_value=-(2.0**499), max_value=2.0**499)
+
+
+@given(_BOUNDED, _BOUNDED)
+def test_one_sample_scores_are_the_absolute_deviation(f, t):
+    # a point forecast is a one-sample forecast: both scores reduce to
+    # |f - t| exactly, since sqrt(fl(d * d)) == |d| without under/overflow
+    deviation = abs(f - t)
+    assume(deviation == 0.0 or deviation >= 2.0**-500)
+    assert rmse([f], t) == deviation
+    assert mae([f], t) == deviation
 
 
 def test_mae_never_exceeds_rmse():

@@ -15,7 +15,7 @@ import pytest
 from conftest import diamond, path_max, random_dag
 from stoched.durations import FrozenDuration, from_baseline, priors_from_baselines
 from stoched.errors import LengthMismatch
-from stoched.network import build_network, cpm_batch
+from stoched.network import build_network, compute_cpm, cpm_batch
 from stoched.psplib import parse_sm, to_network
 from stoched.rng import normals, stream_key
 from stoched.simulate import (
@@ -39,6 +39,25 @@ def test_all_frozen_is_deterministic():
     assert np.array_equal(r.critical_probability, [1.0, 0.0, 1.0, 1.0])
     assert np.all(r.samples == 9.0)
     assert r.ci90_width == 0.0
+
+
+def test_one_frozen_replicate_is_the_cpm_makespan_bit_for_bit():
+    # a point forecast: its row scores must be the CPM pass's, unrounded
+    rng = np.random.default_rng(67)
+    for trial in range(40):
+        n = int(rng.integers(2, 14))
+        net = random_dag(rng, n)
+        durations = rng.lognormal(1.5, 0.8, size=n)
+        durations[rng.random(n) < 0.2] = 0.0
+        makespan = compute_cpm(net, durations).completion_time
+        target = makespan * float(rng.choice([0.9, 1.0, 1.1]))
+        cfg = SimulationConfig(replicate_count=1, seed=trial, target_completion=target)
+        r = simulate(net, [FrozenDuration(float(d)) for d in durations], cfg)
+        assert r.samples.shape == (1,)
+        assert r.expected_completion == makespan
+        assert r.completion_variance == 0.0
+        assert r.ci90_width == 0.0
+        assert r.delay_probability == (1.0 if makespan > target else 0.0)
 
 
 def test_samples_match_path_enumeration_oracle():
