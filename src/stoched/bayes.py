@@ -227,6 +227,8 @@ def map_update(
     new state keeps the taus, so its prior is centered at the new params,
     and the consumed observations are discarded. An empty batch returns
     the state unchanged: the prior's argmax is its own center.
+    A Nelder-Mead result that is non-finite or did not converge is
+    checked against a coarse grid search, and the better point is kept.
     Raises OptimizationFailed when the objective is non-finite everywhere
     or the MAP mean duration exp(mu + sigma^2/2) would overflow.
     """
@@ -253,8 +255,10 @@ def map_update(
     best_mu, best_log_sigma = float(result.x[0]), float(result.x[1])
     best_value = -float(result.fun)
 
-    if not math.isfinite(best_value):
-        best_mu, best_log_sigma, best_value = _grid_argmax(x0, obs, state)
+    if not (result.success and math.isfinite(best_value)):
+        grid_mu, grid_log_sigma, grid_value = _grid_argmax(x0, obs, state)
+        if not math.isfinite(best_value) or grid_value > best_value:
+            best_mu, best_log_sigma, best_value = grid_mu, grid_log_sigma, grid_value
         if not math.isfinite(best_value):
             raise OptimizationFailed(
                 "MAP objective is non-finite at every probe point"

@@ -10,13 +10,16 @@ input.
 
 stdout carries machine-readable JSON payloads only; diagnostics go to
 stderr. Exit codes: 0 success, 2 usage or config error (including
-unreadable files and replicate counts too large for memory), 3 malformed
-input data, 4 numerical failure. All outputs are deterministic given
-flags and inputs; the seed is always an explicit flag, never wall-clock.
-Output directories receive exactly one manifest.json recording the
-command, resolved configuration, input digests, tool version, and
-timestamp (the manifest, unlike result files, is an audit record and
-carries the only non-deterministic fields).
+unreadable or non-UTF-8 files, an unwritable output directory, and
+replicate counts too large for memory), 3 malformed input data, 4
+numerical failure. All outputs are deterministic given flags and inputs;
+the seed is always an explicit flag, never wall-clock. A command with an
+output directory creates it before computing, and writes its result
+files and then one manifest.json only after the run succeeds, before it
+prints; a failed write removes the files it wrote. The manifest records
+the command, resolved configuration, input digests, tool version, and
+timestamp (it is an audit record, unlike the result files, and carries
+the only non-deterministic fields).
 """
 
 from __future__ import annotations
@@ -68,15 +71,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (InputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if isinstance(exc, ConfigError):
+            return EXIT_USAGE
+        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_NUMERIC
     except MemoryError:
         print("error: out of memory; lower --n or replicate_count", file=sys.stderr)
         return EXIT_USAGE
@@ -181,18 +180,12 @@ def _resolve_target(text: str, deterministic_makespan: float) -> float:
     return value
 
 
-def _check_replicates(n: int) -> int:
-    if n < 1:
-        raise ConfigError(f"--n must be >= 1, got {n}")
-    return n
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
@@ -203,42 +196,57 @@ def _load_instance(path: str):
     return name, inst, net, baselines
 
 
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _make_out_dir(path: str) -> Path:
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+    return out_dir
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config: dict, seed: int, inputs: list[str]
-) -> Path:
+def _write_outputs(
+    out_dir: Path, files: dict, command: str, config: dict, seed: int, inputs: list
+) -> None:
+    """Write files (name -> text), then manifest.json, into out_dir. If a
+    write fails, the files written so far are removed and ConfigError is
+    raised."""
     manifest = {
         "command": command,
         "config": config,
         "master_seed": seed,
         "tool_version": __version__,
-        "inputs": {path: _sha256(path) for path in inputs},
+        "inputs": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
     }
-    target = out_dir / "manifest.json"
-    target.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return target
+    written: list[Path] = []
+    for name, text in {**files, "manifest.json": _json_text(manifest)}.items():
+        path = out_dir / name
+        try:
+            with path.open("w", encoding="utf-8") as handle:
+                written.append(path)
+                handle.write(text)
+        except OSError as exc:
+            for done in written:
+                done.unlink(missing_ok=True)
+            raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_parse(args) -> int:
     name, inst, net, baselines = _load_instance(args.path)
     result = compute_cpm(net, baselines)
-    _print_json(
-        {
-            "instance": name,
-            "jobs": inst.job_count,
-            "real_activities": real_activity_count(inst),
-            "edges": len(net.edges),
-            "cpm_makespan": result.completion_time,
-        }
-    )
+    summary = {
+        "instance": name,
+        "jobs": inst.job_count,
+        "real_activities": real_activity_count(inst),
+        "edges": len(net.edges),
+        "cpm_makespan": result.completion_time,
+    }
+    sys.stdout.write(_json_text(summary))
     return EXIT_OK
 
 
@@ -247,7 +255,9 @@ def cmd_forecast(args) -> int:
     posterior of its observations, so forecast is an update with none."""
     name, inst, net, baselines = _load_instance(args.path)
     sigma = _resolve_sigma(args.sigma)
-    n = _check_replicates(args.n)
+    n = args.n
+    if n < 1:
+        raise ConfigError(f"--n must be >= 1, got {n}")
     workers = _resolve_threads(args.threads)
     priors = priors_from_baselines(baselines, sigma)
     det = compute_cpm(net, baselines).completion_time
@@ -270,6 +280,7 @@ def cmd_forecast(args) -> int:
                 )
             records.append(record)
 
+    out_dir = _make_out_dir(args.out) if args.out else None
     posterior = posterior_models(
         priors, [records], {}, DEFAULT_TAU_MU, DEFAULT_TAU_LOG_SIGMA
     )
@@ -302,16 +313,14 @@ def cmd_forecast(args) -> int:
         "posterior_expected_durations": [expected_duration(m) for m in posterior],
         "observation_counts": observation_counts,
     }
-    _print_json(payload)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "result.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        )
-        (out_dir / "histogram.csv").write_text(histogram_csv(result.samples))
+    if out_dir:
+        files = {
+            "result.json": _json_text(payload),
+            "histogram.csv": histogram_csv(result.samples),
+        }
         config = {"sigma": sigma, "n": n, "seed": args.seed, "target": target}
-        _write_manifest(out_dir, args.command, config, args.seed, inputs)
+        _write_outputs(out_dir, files, args.command, config, args.seed, inputs)
+    sys.stdout.write(_json_text(payload))
     return EXIT_OK
 
 
@@ -415,59 +424,34 @@ def cmd_experiment(args) -> int:
         else derive_seeds(config["master_seed"], config["seed_count"])
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
+    out_dir = _make_out_dir(args.out)
+    files: dict[str, str] = {}
 
-    def emit_histogram(row, forecast) -> None:
-        if row.method in POINT_METHODS:
-            return
-        name = (
-            f"hist_{row.instance_name}_{row.method}_{row.strategy}"
-            f"_{row.uncertainty}_{row.seed}.csv"
-        )
-        path = out_dir / name
-        path.write_text(histogram_csv(forecast.samples))
-        created.append(path)
-
-    on_result = emit_histogram if config["emit_histograms"] else None
-    try:
-        rows = run_matrix(instances, grid, seeds, workers=workers, on_result=on_result)
-        csv_path = out_dir / "results.csv"
-        csv_path.write_text(csv_lines(rows))
-        created.append(csv_path)
-        jsonl_path = out_dir / "results.jsonl"
-        jsonl_path.write_text(jsonl_lines(rows))
-        created.append(jsonl_path)
-        manifest_config = {
-            key: value
-            for key, value in config.items()
-            if key not in ("emit_histograms",)
-        }
-        manifest_config["threads"] = workers
-        manifest_config["seeds_used"] = [int(s) for s in seeds]
-        created.append(
-            _write_manifest(
-                out_dir,
-                "experiment",
-                manifest_config,
-                config["master_seed"],
-                [args.config, *config["instances"]],
+    def keep_histogram(row, forecast) -> None:
+        if row.method not in POINT_METHODS:
+            name = (
+                f"hist_{row.instance_name}_{row.method}_{row.strategy}"
+                f"_{row.uncertainty}_{row.seed}.csv"
             )
-        )
-    except Exception:
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
+            files[name] = histogram_csv(forecast.samples)
 
-    _print_json(
-        {
-            "rows": len(rows),
-            "out_dir": str(out_dir),
-            "csv": str(out_dir / "results.csv"),
-            "median_rmse_by_method": median_rmse_by_method(rows),
-        }
+    on_result = keep_histogram if config["emit_histograms"] else None
+    rows = run_matrix(instances, grid, seeds, workers=workers, on_result=on_result)
+    files["results.csv"] = csv_lines(rows)
+    files["results.jsonl"] = jsonl_lines(rows)
+    manifest_config = dict(config, threads=workers, seeds_used=[int(s) for s in seeds])
+    del manifest_config["emit_histograms"]
+    inputs = [args.config, *config["instances"]]
+    _write_outputs(
+        out_dir, files, "experiment", manifest_config, config["master_seed"], inputs
     )
+    summary = {
+        "rows": len(rows),
+        "out_dir": str(out_dir),
+        "csv": str(out_dir / "results.csv"),
+        "median_rmse_by_method": median_rmse_by_method(rows),
+    }
+    sys.stdout.write(_json_text(summary))
     return EXIT_OK
 
 

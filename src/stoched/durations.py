@@ -4,8 +4,10 @@ An activity duration is either Lognormal(mu, sigma) in log space or a
 frozen constant (dummy activities with baseline 0 stay exactly 0 and
 never consume randomness). Priors are built mean-preserving from a
 deterministic baseline d: mu = ln d - sigma^2/2, so the expected duration
-equals d exactly and a deterministic pass over prior means reproduces the
-baseline schedule.
+equals d to rounding. It can differ from d in the last bit (on half of
+j30_fix_a's activities), which is why bayes_no_propagation with no
+observations takes its own one-replicate forecast instead of sharing
+deterministic_cpm's.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ class JobCountMismatch(InputError):
 
 
 class NonPositiveBaseline(InputError):
-    """A baseline duration must be strictly positive to build a prior."""
+    """A baseline duration is negative or non-finite; 0 marks a frozen dummy."""
 
 
 class MixedActivities(InputError):
@@ -75,4 +75,4 @@ class NumericalError(StochedError):
 
 
 class OptimizationFailed(NumericalError):
-    """MAP optimization found no finite objective value anywhere."""
+    """MAP found no finite objective, or an estimate with an overflowing mean."""

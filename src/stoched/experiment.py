@@ -118,6 +118,13 @@ class ExperimentRow:
     ci90_width: float
 
 
+def _reject_repeats(kind: str, values: Sequence) -> None:
+    """Repeated values would give rows that cannot be told apart."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{kind} {value!r} is given more than once")
+
+
 @dataclass(frozen=True)
 class GridConfig:
     uncertainties: tuple[str, ...] = ("low", "moderate", "high")
@@ -137,6 +144,7 @@ class GridConfig:
             for value in values:
                 if value not in allowed:
                     raise ConfigError(f"unknown {axis} {value!r}")
+            _reject_repeats(axis, values)
         if self.replicate_count < 1:
             raise ConfigError(
                 f"replicate_count must be >= 1, got {self.replicate_count}"
@@ -386,6 +394,8 @@ def run_matrix(
     """
     if not instances or not seeds:
         raise ConfigError("experiment needs at least one instance and one seed")
+    _reject_repeats("instance name", [name for name, _, _ in instances])
+    _reject_repeats("seed", seeds)
     rows = []
     for name, net, baselines in instances:
         for uncertainty in grid.uncertainties:

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -294,6 +295,29 @@ def test_grid_fallback_recovers_when_nelder_mead_sees_only_minus_inf(monkeypatch
     assert math.isfinite(post.params.mu) and math.isfinite(post.params.sigma)
     assert abs(post.params.mu) <= 200.0
     assert post.observation_count == 1
+
+
+def test_non_converged_nelder_mead_loses_to_the_grid_point(monkeypatch):
+    # A simplex that stopped without converging, at a finite but poor
+    # point, must not be taken as the MAP estimate.
+    state = PosteriorState(from_baseline(10.0, 0.3), tau_mu=0.3, tau_log_sigma=0.8)
+    obs = [ObservationRecord(0, 12.0, 0.5)]
+    poor = np.array([state.params.mu - 2.0, math.log(state.params.sigma)])
+    poor_value = bayes._objective(float(poor[0]), float(poor[1]), obs, state)
+    assert math.isfinite(poor_value)
+
+    def stalled(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(
+            x=poor, fun=-poor_value, success=False, nit=500
+        )
+
+    monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+    post = map_update(state, obs)
+    x0 = np.array([state.params.mu, math.log(state.params.sigma)])
+    grid_mu, grid_log_sigma, grid_value = bayes._grid_argmax(x0, obs, state)
+    assert grid_value > poor_value
+    assert post.params.mu == grid_mu
+    assert post.params.sigma == math.exp(grid_log_sigma)
 
 
 def test_optimizer_beats_grid_on_random_cases():

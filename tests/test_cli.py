@@ -126,6 +126,74 @@ def test_forecast_out_directory_artifacts(tmp_path, capsys, command):
         path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
     }
     assert "timestamp_utc" in manifest and "tool_version" in manifest
+    assert sorted(p.name for p in out.iterdir()) == [
+        "histogram.csv",
+        "manifest.json",
+        "result.json",
+    ]
+
+
+def _out_argv(tmp_path, command, out):
+    """argv for a small run of command that writes into out."""
+    if command == "experiment":
+        config = tmp_path / "exp.conf"
+        config.write_text(EXPERIMENT_CONFIG + "emit_histograms = true\n")
+        return ["experiment", str(config), "--out", str(out), "--threads", "1"]
+    argv = [command, J30, "--n", "50", "--threads", "1", "--out", str(out)]
+    if command == "update":
+        obs = tmp_path / "obs.txt"
+        obs.write_text("2 5.5 0.3\n")
+        argv.insert(2, str(obs))
+    return argv
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+@pytest.mark.parametrize("command", ["forecast", "update", "experiment"])
+def test_out_at_or_under_a_file_is_usage_error(tmp_path, capsys, command, under_file):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under_file else blocker
+    code, stdout, err = run_cli(capsys, *_out_argv(tmp_path, command, out))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["forecast", "update", "experiment"])
+def test_failed_write_removes_the_files_already_written(tmp_path, capsys, command):
+    # A directory where the manifest should go makes the last write fail.
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    code, stdout, err = run_cli(capsys, *_out_argv(tmp_path, command, out))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert err.startswith("error: cannot write")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_experiment_failing_part_way_leaves_no_result_files(tmp_path, capsys, monkeypatch):
+    import stoched.experiment
+
+    simulate = stoched.experiment.simulate
+    calls = []
+
+    # Calls 1-6 are the none-strategy cells of both seeds, two of which
+    # emit histograms; call 7 is the first continuous-strategy cell.
+    def fails_on_seventh_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 7:
+            raise OptimizationFailed("injected failure")
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(stoched.experiment, "simulate", fails_on_seventh_call)
+    out = tmp_path / "results"
+    code, stdout, err = run_cli(capsys, *_out_argv(tmp_path, "experiment", out))
+    assert code == EXIT_NUMERIC
+    assert stdout == ""
+    assert err.startswith("error:") and "injected failure" in err
+    assert len(calls) == 7
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -337,6 +405,28 @@ def test_experiment_config_errors(tmp_path, capsys):
         assert code == EXIT_USAGE, text
         assert err.startswith("error:")
 
+    # repeated values would give rows that cannot be told apart
+    other = tmp_path / "elsewhere" / "j30_fix_a.sm"
+    other.parent.mkdir()
+    other.write_text(read_fixture("j30_fix_a.sm"))
+    repeats = [
+        (f"instances = {J30}, {J30}\nemit_histograms = true\n", "'j30_fix_a'"),
+        (f"instances = {J30} elsewhere/j30_fix_a.sm\n", "'j30_fix_a'"),
+        (f"instances = {J30}\nseeds = 1 1\n", "seed 1 "),
+        (f"instances = {J30}\nuncertainty = low high low\n", "'low'"),
+        (f"instances = {J30}\nstrategy = none, none\n", "'none'"),
+        (f"instances = {J30}\nmethod = static_mc static_mc\n", "'static_mc'"),
+    ]
+    for i, (text, named) in enumerate(repeats):
+        config = tmp_path / f"r{i}.conf"
+        config.write_text(text + "replicate_count = 10\n")
+        out = tmp_path / f"r{i}"
+        code, stdout, err = run_cli(capsys, "experiment", str(config), "--out", str(out))
+        assert code == EXIT_USAGE, text
+        assert stdout == ""
+        assert err.startswith("error:") and named in err and "more than once" in err
+        assert not (out / "results.csv").exists()
+
 
 @pytest.mark.parametrize("key", ["uncertainty", "strategy", "method"])
 def test_experiment_empty_axis_is_usage_error(tmp_path, capsys, key):
@@ -348,6 +438,23 @@ def test_experiment_empty_axis_is_usage_error(tmp_path, capsys, key):
     assert stdout == ""
     assert err.startswith("error:") and "no " in err
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["instance", "observations", "config"])
+def test_undecodable_input_file_is_usage_error(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# \xff\n")
+    obs = tmp_path / "obs.txt"
+    obs.write_text("2 5.5 0.3\n")
+    argv = {
+        "instance": ["parse", str(bad)],
+        "observations": ["update", J30, str(bad), "--n", "50"],
+        "config": ["experiment", str(bad), "--out", str(tmp_path / "o")],
+    }[kind]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert err.startswith(f"error: cannot read {bad}:")
 
 
 def test_experiment_missing_instance_file(tmp_path, capsys):

@@ -104,6 +104,15 @@ def test_grid_config_validation():
     for kwargs in bad:
         with pytest.raises(ConfigError):
             GridConfig(**kwargs)
+    repeated = [
+        dict(uncertainties=("low", "high", "low")),
+        dict(strategies=("none", "none")),
+        dict(methods=("static_mc", "full_framework", "static_mc")),
+    ]
+    for kwargs in repeated:
+        value = next(iter(kwargs.values()))[0]
+        with pytest.raises(ConfigError, match=f"'{value}' is given more than once"):
+            GridConfig(**kwargs)
 
 
 # -------------------------------------------------------------- ground truth
@@ -538,6 +547,11 @@ def test_run_matrix_requires_inputs():
         run_matrix([], grid, seeds=[1])
     with pytest.raises(ConfigError):
         run_matrix([("d", diamond(), DIAMOND_BASELINES)], grid, seeds=[])
+    instance = ("d", diamond(), DIAMOND_BASELINES)
+    with pytest.raises(ConfigError, match="instance name 'd'"):
+        run_matrix([instance, instance], grid, seeds=[1])
+    with pytest.raises(ConfigError, match="seed 3 "):
+        run_matrix([instance], grid, seeds=[3, 4, 3])
 
 
 def test_derive_seeds_deterministic_and_distinct():
