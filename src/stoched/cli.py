@@ -14,12 +14,12 @@ unreadable or non-UTF-8 files, an unwritable output directory, and
 replicate counts too large for memory), 3 malformed input data, 4
 numerical failure. All outputs are deterministic given flags and inputs;
 the seed is always an explicit flag, never wall-clock. A command with an
-output directory creates it before computing, and writes its result
-files and then one manifest.json only after the run succeeds, before it
-prints; a failed write removes the files it wrote. The manifest records
-the command, resolved configuration, input digests, tool version, and
-timestamp (it is an audit record, unlike the result files, and carries
-the only non-deterministic fields).
+output directory creates it after every check, before computing, and
+writes its result files and then one manifest.json only after the run
+succeeds, before it prints; a failed write removes the files it wrote.
+The manifest records the command, resolved configuration, digests of the
+input bytes that ran, tool version and timestamp (it is an audit record,
+unlike the result files, and carries the only non-deterministic fields).
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from .errors import (
     UnknownActivityIndex,
 )
 from .experiment import (
-    METHODS,
     POINT_METHODS,
-    STRATEGIES,
     UNCERTAINTY_SIGMA,
     GridConfig,
     csv_lines,
@@ -180,18 +178,22 @@ def _resolve_target(text: str, deterministic_makespan: float) -> float:
     return value
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, digests: dict) -> str:
+    """path's text from one read, whose sha256 goes into digests[path]."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    digests[path] = hashlib.sha256(data).hexdigest()
+    return text
 
 
-def _load_instance(path: str):
+def _load_instance(path: str, digests: dict):
     name = Path(path).stem
-    inst = parse_sm(_read_text(path), instance_name=name)
+    inst = parse_sm(_read_text(path, digests), instance_name=name)
     net, baselines = to_network(inst)
     return name, inst, net, baselines
 
@@ -210,17 +212,17 @@ def _make_out_dir(path: str) -> Path:
 
 
 def _write_outputs(
-    out_dir: Path, files: dict, command: str, config: dict, seed: int, inputs: list
+    out_dir: Path, files: dict, command: str, config: dict, seed: int, digests: dict
 ) -> None:
-    """Write files (name -> text), then manifest.json, into out_dir. If a
-    write fails, the files written so far are removed and ConfigError is
-    raised."""
+    """Write files (name -> text), then manifest.json with the input
+    digests (path -> sha256), into out_dir. If a write fails, the files
+    written so far are removed and ConfigError is raised."""
     manifest = {
         "command": command,
         "config": config,
         "master_seed": seed,
         "tool_version": __version__,
-        "inputs": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+        "inputs": digests,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
     }
     written: list[Path] = []
@@ -237,7 +239,7 @@ def _write_outputs(
 
 
 def cmd_parse(args) -> int:
-    name, inst, net, baselines = _load_instance(args.path)
+    name, inst, net, baselines = _load_instance(args.path, {})
     result = compute_cpm(net, baselines)
     summary = {
         "instance": name,
@@ -253,7 +255,8 @@ def cmd_parse(args) -> int:
 def cmd_forecast(args) -> int:
     """forecast and update: an update is the forecast run from the MAP
     posterior of its observations, so forecast is an update with none."""
-    name, inst, net, baselines = _load_instance(args.path)
+    digests: dict[str, str] = {}
+    name, inst, net, baselines = _load_instance(args.path, digests)
     sigma = _resolve_sigma(args.sigma)
     n = args.n
     if n < 1:
@@ -263,11 +266,10 @@ def cmd_forecast(args) -> int:
     det = compute_cpm(net, baselines).completion_time
     target = _resolve_target(args.target, det)
 
-    inputs = [args.path]
     records = []
     if args.command == "update":
-        inputs.append(args.observations)
-        for lineno, record in parse_observation_text(_read_text(args.observations)):
+        text = _read_text(args.observations, digests)
+        for lineno, record in parse_observation_text(text):
             if record.activity >= net.activity_count:
                 raise UnknownActivityIndex(
                     f"{args.observations} line {lineno}: activity {record.activity} "
@@ -319,30 +321,26 @@ def cmd_forecast(args) -> int:
             "histogram.csv": histogram_csv(result.samples),
         }
         config = {"sigma": sigma, "n": n, "seed": args.seed, "target": target}
-        _write_outputs(out_dir, files, args.command, config, args.seed, inputs)
+        _write_outputs(out_dir, files, args.command, config, args.seed, digests)
     sys.stdout.write(_json_text(payload))
     return EXIT_OK
 
 
-_CONFIG_KEYS = {
-    "instances",
-    "uncertainty",
-    "strategy",
-    "method",
-    "replicate_count",
-    "target_rule",
-    "master_seed",
-    "seed_count",
-    "seeds",
-    "emit_histograms",
+# Config keys that set a GridConfig field: the field, the type of its
+# values and whether it takes a list. GridConfig's default holds for a key
+# the file leaves out.
+_GRID_KEYS = {
+    "uncertainty": ("uncertainties", str, True),
+    "strategy": ("strategies", str, True),
+    "method": ("methods", str, True),
+    "replicate_count": ("replicate_count", int, False),
+    "target_rule": ("target_rule", float, False),
 }
+_CLI_KEYS = ("instances", "master_seed", "seed_count", "seeds", "emit_histograms")
 
 
-def parse_experiment_config(text: str, base_dir: Path) -> dict:
-    """Parse 'key = value [value ...]' experiment config text.
-
-    Instance paths are resolved relative to the config file's directory.
-    """
+def parse_experiment_config(text: str) -> dict[str, list[str]]:
+    """Parse 'key = value [value ...]' config text into key -> values."""
     raw: dict[str, list[str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -352,76 +350,52 @@ def parse_experiment_config(text: str, base_dir: Path) -> dict:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _GRID_KEYS and key not in _CLI_KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         raw[key] = value.replace(",", " ").split()
+    return raw
 
-    if not raw.get("instances"):
-        raise ConfigError("config must set 'instances' to one or more .sm paths")
 
-    def one(key: str, default: str, cast):
-        values = raw.get(key)
-        if values is None:
-            return cast(default)
-        if len(values) != 1:
-            raise ConfigError(f"config key {key!r} takes exactly one value")
-        try:
-            return cast(values[0])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: bad value {values[0]!r}") from None
-
-    def axis(key: str, default: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(raw[key]) if key in raw else default
-
-    emit_histograms = one("emit_histograms", "false", str).lower()
-    if emit_histograms not in ("true", "false"):
-        raise ConfigError("config key 'emit_histograms': expected true or false")
-
-    seeds = None
-    if "seeds" in raw:
-        try:
-            seeds = [int(s) for s in raw["seeds"]]
-        except ValueError:
-            raise ConfigError("config key 'seeds': values must be integers") from None
-
-    config = {
-        "instances": [str((base_dir / p)) for p in raw["instances"]],
-        "uncertainties": axis("uncertainty", tuple(UNCERTAINTY_SIGMA)),
-        "strategies": axis("strategy", STRATEGIES),
-        "methods": axis("method", METHODS),
-        "replicate_count": one("replicate_count", "10000", int),
-        "target_rule": one("target_rule", "1.0", float),
-        "master_seed": one("master_seed", "42", int),
-        "seed_count": one("seed_count", "10", int),
-        "seeds": seeds,
-        "emit_histograms": emit_histograms == "true",
-    }
-    if config["seed_count"] < 1:
-        raise ConfigError("config key 'seed_count' must be >= 1")
-    return config
+def _value(raw: dict, key: str, cast, default=None, many=False):
+    """key's value cast, or a tuple of them if many; default if left out."""
+    if key not in raw:
+        return default
+    if not many and len(raw[key]) != 1:
+        raise ConfigError(f"config key {key!r} takes exactly one value")
+    try:
+        values = tuple(cast(v) for v in raw[key])
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+    return values if many else values[0]
 
 
 def cmd_experiment(args) -> int:
-    config_path = Path(args.config)
-    config = parse_experiment_config(_read_text(args.config), config_path.parent)
+    """Run the grid of a config file. Instance paths resolve relative to
+    the config file's directory. Every check runs before --out is made."""
+    digests: dict[str, str] = {}
+    raw = parse_experiment_config(_read_text(args.config, digests))
+    paths = [str(Path(args.config).parent / p) for p in raw.get("instances", [])]
+    emit_histograms = _value(raw, "emit_histograms", str, "false").lower()
+    if emit_histograms not in ("true", "false"):
+        raise ConfigError("config key 'emit_histograms': expected true or false")
+    master_seed = _value(raw, "master_seed", int, 42)
+    seed_count = _value(raw, "seed_count", int, 10)
+    if seed_count < 1:
+        raise ConfigError("config key 'seed_count' must be >= 1")
+    seeds = _value(raw, "seeds", int, many=True)
+    grid_fields = {
+        field: _value(raw, key, cast, many=many)
+        for key, (field, cast, many) in _GRID_KEYS.items()
+        if key in raw
+    }
     workers = _resolve_threads(args.threads)
+    loaded = [_load_instance(path, digests) for path in paths]
     grid = GridConfig(
-        uncertainties=config["uncertainties"],
-        strategies=config["strategies"],
-        methods=config["methods"],
-        replicate_count=config["replicate_count"],
-        target_rule=config["target_rule"],
-    )
-    instances = []
-    for path in config["instances"]:
-        name, _, net, baselines = _load_instance(path)
-        instances.append((name, net, baselines))
-    seeds = (
-        config["seeds"]
-        if config["seeds"] is not None
-        else derive_seeds(config["master_seed"], config["seed_count"])
+        instances=tuple((name, net, baselines) for name, _, net, baselines in loaded),
+        seeds=tuple(derive_seeds(master_seed, seed_count) if seeds is None else seeds),
+        **grid_fields,
     )
 
     out_dir = _make_out_dir(args.out)
@@ -435,16 +409,20 @@ def cmd_experiment(args) -> int:
             )
             files[name] = histogram_csv(forecast.samples)
 
-    on_result = keep_histogram if config["emit_histograms"] else None
-    rows = run_matrix(instances, grid, seeds, workers=workers, on_result=on_result)
+    on_result = keep_histogram if emit_histograms == "true" else None
+    rows = run_matrix(grid, workers=workers, on_result=on_result)
     files["results.csv"] = csv_lines(rows)
     files["results.jsonl"] = jsonl_lines(rows)
-    manifest_config = dict(config, threads=workers, seeds_used=[int(s) for s in seeds])
-    del manifest_config["emit_histograms"]
-    inputs = [args.config, *config["instances"]]
-    _write_outputs(
-        out_dir, files, "experiment", manifest_config, config["master_seed"], inputs
-    )
+    manifest_config = {
+        **{field: getattr(grid, field) for field, _, _ in _GRID_KEYS.values()},
+        "instances": paths,
+        "master_seed": master_seed,
+        "seed_count": seed_count,
+        "seeds": seeds,
+        "threads": workers,
+        "seeds_used": grid.seeds,
+    }
+    _write_outputs(out_dir, files, "experiment", manifest_config, master_seed, digests)
     summary = {
         "rows": len(rows),
         "out_dir": str(out_dir),

@@ -1,5 +1,9 @@
 """Benchmark experiment harness.
 
+A GridConfig is the whole grid, instances x uncertainty levels x
+strategies x methods x seeds, and checks it when built; run_matrix runs
+it and checks nothing.
+
 A scenario is one (instance, uncertainty, seed): its priors, one
 ground-truth project realization, and one noisy observation per
 stochastic activity. make_scenario builds it once, and every cell of the
@@ -118,15 +122,13 @@ class ExperimentRow:
     ci90_width: float
 
 
-def _reject_repeats(kind: str, values: Sequence) -> None:
-    """Repeated values would give rows that cannot be told apart."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"{kind} {value!r} is given more than once")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridConfig:
+    """Every axis must be non-empty and hold distinct values (instances by
+    name): repeats would give rows that cannot be told apart."""
+
+    instances: tuple[tuple[str, ProjectNetwork, np.ndarray], ...]
+    seeds: tuple[int, ...]
     uncertainties: tuple[str, ...] = ("low", "moderate", "high")
     strategies: tuple[str, ...] = STRATEGIES
     methods: tuple[str, ...] = METHODS
@@ -135,16 +137,19 @@ class GridConfig:
 
     def __post_init__(self) -> None:
         for axis, values, allowed in (
+            ("instance name", [name for name, _, _ in self.instances], None),
             ("uncertainty level", self.uncertainties, UNCERTAINTY_SIGMA),
             ("strategy", self.strategies, STRATEGIES),
             ("method", self.methods, METHODS),
+            ("seed", self.seeds, None),
         ):
             if not values:
                 raise ConfigError(f"no {axis} given: the grid would be empty")
-            for value in values:
-                if value not in allowed:
+            for i, value in enumerate(values):
+                if allowed is not None and value not in allowed:
                     raise ConfigError(f"unknown {axis} {value!r}")
-            _reject_repeats(axis, values)
+                if value in values[:i]:
+                    raise ConfigError(f"{axis} {value!r} is given more than once")
         if self.replicate_count < 1:
             raise ConfigError(
                 f"replicate_count must be >= 1, got {self.replicate_count}"
@@ -179,13 +184,13 @@ def make_scenario(
     baseline_durations,
     uncertainty: str,
     seed: int,
-    replicate_count: int = 10_000,
-    target_rule: float = 1.0,
+    replicate_count: int,
+    target_rule: float,
 ) -> Scenario:
     """Priors, truth and observations of one seed at one uncertainty level.
 
-    Names and numbers are not checked here: GridConfig checks them once
-    for a whole grid.
+    Names and numbers are not checked here: run_matrix takes them from a
+    GridConfig, which checked them when it was built.
     """
     baselines = np.asarray(baseline_durations, dtype=np.float64)
     priors = priors_from_baselines(baselines, UNCERTAINTY_SIGMA[uncertainty])
@@ -377,14 +382,10 @@ def run_method(
 
 
 def run_matrix(
-    instances: Sequence[tuple[str, ProjectNetwork, np.ndarray]],
-    grid: GridConfig,
-    seeds: Sequence[int],
-    workers: int = 1,
-    on_result=None,
+    grid: GridConfig, workers: int = 1, on_result=None
 ) -> list[ExperimentRow]:
-    """All cells of instances x uncertainties x strategies x methods x
-    seeds, rows in that deterministic order.
+    """All cells of the grid, rows in instances x uncertainties x
+    strategies x methods x seeds order. GridConfig has checked the grid.
 
     on_result, when given, is called with (row, forecast) after each cell
     so callers can stream per-cell payloads (histograms). The scenarios
@@ -392,12 +393,8 @@ def run_matrix(
     moves to the next uncertainty, and with them every distinct forecast
     they memoize.
     """
-    if not instances or not seeds:
-        raise ConfigError("experiment needs at least one instance and one seed")
-    _reject_repeats("instance name", [name for name, _, _ in instances])
-    _reject_repeats("seed", seeds)
     rows = []
-    for name, net, baselines in instances:
+    for name, net, baselines in grid.instances:
         for uncertainty in grid.uncertainties:
             scenarios = [
                 make_scenario(
@@ -409,7 +406,7 @@ def run_matrix(
                     grid.replicate_count,
                     grid.target_rule,
                 )
-                for seed in seeds
+                for seed in grid.seeds
             ]
             for strategy in grid.strategies:
                 for method in grid.methods:

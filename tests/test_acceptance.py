@@ -65,6 +65,8 @@ def table_rows(j30):
     the desk-scale replication grid shared by checks 05 and 06."""
     net, baselines = j30
     grid = GridConfig(
+        instances=(("j30_fix_a", net, baselines),),
+        seeds=tuple(derive_seeds(7, 10)),
         uncertainties=("moderate",),
         strategies=("continuous",),
         methods=(
@@ -76,9 +78,7 @@ def table_rows(j30):
         replicate_count=10_000,
     )
     start = time.perf_counter()
-    rows = run_matrix(
-        [("j30_fix_a", net, baselines)], grid, derive_seeds(7, 10), workers=WORKERS
-    )
+    rows = run_matrix(grid, workers=WORKERS)
     return rows, time.perf_counter() - start
 
 
@@ -264,15 +264,15 @@ def test_06_rmse_reduction_magnitude(table_rows):
 def test_07_continuous_updating_tightens_intervals(j30):
     net, baselines = j30
     grid = GridConfig(
+        instances=(("j30_fix_a", net, baselines),),
+        seeds=tuple(derive_seeds(7, 10)),
         uncertainties=("moderate",),
         strategies=("none", "periodic", "continuous"),
         methods=("full_framework",),
         replicate_count=10_000,
     )
     start = time.perf_counter()
-    rows = run_matrix(
-        [("j30_fix_a", net, baselines)], grid, derive_seeds(7, 10), workers=WORKERS
-    )
+    rows = run_matrix(grid, workers=WORKERS)
     elapsed = time.perf_counter() - start
     ci90 = {
         strategy: float(

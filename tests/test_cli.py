@@ -13,6 +13,7 @@ import pytest
 from conftest import FIXTURE_DIR, read_fixture
 from stoched.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from stoched.errors import OptimizationFailed
+from stoched.experiment import derive_seeds
 
 J30 = str(FIXTURE_DIR / "j30_fix_a.sm")
 
@@ -385,6 +386,81 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert (out2 / "results.jsonl").read_bytes() == (out / "results.jsonl").read_bytes()
 
 
+def test_experiment_derives_seeds_and_records_its_config(tmp_path, capsys):
+    config = tmp_path / "exp.conf"
+    config.write_text(
+        f"instances = {J30}\nmethod = deterministic_cpm, static_mc\n"
+        "replicate_count = 50\nmaster_seed = 7\nseed_count = 2\n"
+    )
+    out = tmp_path / "results"
+    payload = stdout_json(
+        capsys, "experiment", str(config), "--out", str(out), "--threads", "1"
+    )
+    assert payload["rows"] == 3 * 3 * 2 * 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["seeds_used"] == derive_seeds(7, 2)
+    assert manifest["config"] == {
+        "instances": [J30],
+        "uncertainties": ["low", "moderate", "high"],
+        "strategies": ["none", "periodic", "continuous"],
+        "methods": ["deterministic_cpm", "static_mc"],
+        "replicate_count": 50,
+        "target_rule": 1.0,
+        "master_seed": 7,
+        "seed_count": 2,
+        "seeds": None,
+        "threads": 1,
+        "seeds_used": derive_seeds(7, 2),
+    }
+    assert manifest["master_seed"] == 7
+
+
+@pytest.mark.parametrize("change", ["edit", "remove"])
+def test_manifest_digests_the_input_bytes_that_ran(
+    tmp_path, capsys, monkeypatch, change
+):
+    import stoched.cli
+
+    config = tmp_path / "exp.conf"
+    config.write_text(EXPERIMENT_CONFIG)
+    ran = config.read_bytes()
+    run_matrix = stoched.cli.run_matrix
+
+    def change_config_then_run(*args, **kwargs):
+        if change == "edit":
+            config.write_text(EXPERIMENT_CONFIG + "# edited mid-run\n")
+        else:
+            config.unlink()
+        return run_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(stoched.cli, "run_matrix", change_config_then_run)
+    out = tmp_path / "results"
+    stdout_json(capsys, "experiment", str(config), "--out", str(out), "--threads", "1")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(config): hashlib.sha256(ran).hexdigest(),
+        J30: hashlib.sha256(Path(J30).read_bytes()).hexdigest(),
+    }
+
+
+def test_crlf_config_and_instance_run_like_lf(tmp_path, capsys):
+    sm = tmp_path / "j30_fix_a.sm"
+    sm.write_bytes(read_fixture("j30_fix_a.sm").replace("\n", "\r\n").encode())
+    crlf = tmp_path / "crlf.conf"
+    crlf_text = EXPERIMENT_CONFIG.replace(J30, sm.name).replace("\n", "\r\n")
+    crlf.write_bytes(crlf_text.encode())
+    lf = tmp_path / "lf.conf"
+    lf.write_text(EXPERIMENT_CONFIG)
+    for config in (crlf, lf):
+        stdout_json(
+            capsys, "experiment", str(config), "--out", str(tmp_path / config.stem),
+            "--threads", "1",
+        )
+    for name in ("results.csv", "results.jsonl"):
+        assert (tmp_path / "crlf" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+    assert stdout_json(capsys, "parse", str(sm)) == stdout_json(capsys, "parse", J30)
+
+
 def test_experiment_config_errors(tmp_path, capsys):
     cases = [
         "instances = missing.sm\nuncertaintee = low\n",  # unknown key
@@ -392,6 +468,7 @@ def test_experiment_config_errors(tmp_path, capsys):
         f"instances = {J30}\nmethod = oracle\n",  # unknown method
         f"instances = {J30}\nreplicate_count = 0\n",
         f"instances = {J30}\nseeds = one two\n",
+        f"instances = {J30}\nseeds =\n",  # no seeds
         f"instances = {J30}\nemit_histograms = maybe\n",
         f"instances = {J30}\nuncertainty = low\nuncertainty = low\n",  # duplicate
         f"instances = {J30}\nbroken line\n",
@@ -399,11 +476,12 @@ def test_experiment_config_errors(tmp_path, capsys):
     for i, text in enumerate(cases):
         config = tmp_path / f"c{i}.conf"
         config.write_text(text)
-        code, _, err = run_cli(
-            capsys, "experiment", str(config), "--out", str(tmp_path / f"o{i}")
-        )
+        out = tmp_path / f"o{i}"
+        code, stdout, err = run_cli(capsys, "experiment", str(config), "--out", str(out))
         assert code == EXIT_USAGE, text
+        assert stdout == ""
         assert err.startswith("error:")
+        assert not out.exists(), text
 
     # repeated values would give rows that cannot be told apart
     other = tmp_path / "elsewhere" / "j30_fix_a.sm"
@@ -425,7 +503,7 @@ def test_experiment_config_errors(tmp_path, capsys):
         assert code == EXIT_USAGE, text
         assert stdout == ""
         assert err.startswith("error:") and named in err and "more than once" in err
-        assert not (out / "results.csv").exists()
+        assert not out.exists(), text
 
 
 @pytest.mark.parametrize("key", ["uncertainty", "strategy", "method"])
@@ -437,7 +515,7 @@ def test_experiment_empty_axis_is_usage_error(tmp_path, capsys, key):
     assert code == EXIT_USAGE
     assert stdout == ""
     assert err.startswith("error:") and "no " in err
-    assert not (out / "results.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["instance", "observations", "config"])

@@ -60,7 +60,9 @@ DIAMOND_BASELINES = np.array([3.0, 4.0, 5.0, 2.0])
 def test_scenario_levels_fill_defaults(j30):
     net, baselines = j30
     for level in ("low", "moderate", "high"):
-        scenario = make_scenario("j30", net, baselines, level, seed=1)
+        scenario = make_scenario(
+            "j30", net, baselines, level, seed=1, replicate_count=10_000, target_rule=1.0
+        )
         assert scenario.priors == priors_from_baselines(baselines, UNCERTAINTY_SIGMA[level])
         for r in scenario.observations:
             assert r.noise_sd == OBS_NOISE_FRACTION[level] * baselines[r.activity]
@@ -87,8 +89,15 @@ def test_scenario_holds_target_truth_and_observations(j30):
     )
 
 
+def _grid(**kwargs) -> GridConfig:
+    """A one-instance, one-seed grid with the given fields replaced."""
+    return GridConfig(
+        **{"instances": (("d", diamond(), DIAMOND_BASELINES),), "seeds": (1,), **kwargs}
+    )
+
+
 def test_grid_config_validation():
-    GridConfig()
+    _grid()
     bad = [
         dict(uncertainties=("extreme",)),
         dict(strategies=("hourly",)),
@@ -103,7 +112,7 @@ def test_grid_config_validation():
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
-            GridConfig(**kwargs)
+            _grid(**kwargs)
     repeated = [
         dict(uncertainties=("low", "high", "low")),
         dict(strategies=("none", "none")),
@@ -112,7 +121,7 @@ def test_grid_config_validation():
     for kwargs in repeated:
         value = next(iter(kwargs.values()))[0]
         with pytest.raises(ConfigError, match=f"'{value}' is given more than once"):
-            GridConfig(**kwargs)
+            _grid(**kwargs)
 
 
 # -------------------------------------------------------------- ground truth
@@ -253,7 +262,7 @@ def test_observation_batches_fewer_records_than_cycles():
 
 def _diamond_scenario(seed, replicate_count=10_000):
     return make_scenario(
-        "d", diamond(), DIAMOND_BASELINES, "moderate", seed, replicate_count
+        "d", diamond(), DIAMOND_BASELINES, "moderate", seed, replicate_count, 1.0
     )
 
 
@@ -367,6 +376,8 @@ def test_full_framework_strategies_update_through_different_cycles():
 def test_run_matrix_row_order_and_callback():
     net = diamond()
     grid = GridConfig(
+        instances=(("d", net, DIAMOND_BASELINES),),
+        seeds=(1, 2),
         uncertainties=("low",),
         strategies=("none", "continuous"),
         methods=("deterministic_cpm", "full_framework"),
@@ -374,10 +385,7 @@ def test_run_matrix_row_order_and_callback():
     )
     seen = []
     rows = run_matrix(
-        [("d", net, DIAMOND_BASELINES)],
-        grid,
-        seeds=[1, 2],
-        on_result=lambda row, forecast: seen.append((row, forecast)),
+        grid, on_result=lambda row, forecast: seen.append((row, forecast))
     )
     assert len(rows) == 8
     assert [(r.strategy, r.method, r.seed) for r in rows] == [
@@ -436,22 +444,28 @@ def _same_forecast(a, b) -> bool:
     )
 
 
-SHARED_GRID = GridConfig(
-    uncertainties=("low", "high"),
-    strategies=STRATEGIES,
-    methods=METHODS,
-    replicate_count=200,
-)
 SHARED_SEEDS = (21, 22)
 
 
 @pytest.fixture(scope="module")
-def shared_matrix(j30):
+def shared_grid(j30):
+    net, baselines = j30
+    return GridConfig(
+        instances=(("j30", net, baselines),),
+        seeds=SHARED_SEEDS,
+        uncertainties=("low", "high"),
+        strategies=STRATEGIES,
+        methods=METHODS,
+        replicate_count=200,
+    )
+
+
+@pytest.fixture(scope="module")
+def shared_matrix(shared_grid):
     """run_matrix on j30 with calls counted per (uncertainty, seed).
 
     A scenario's truth and observations are built before its first cell;
     every other call belongs to the cell that on_result reports next."""
-    net, baselines = j30
     cells = []
     per_seed: dict[tuple[str, int], dict] = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -483,13 +497,11 @@ def shared_matrix(j30):
 
         mp.setattr(stoched.experiment, "make_scenario", counted_scenario)
 
-        rows = run_matrix(
-            [("j30", net, baselines)], SHARED_GRID, SHARED_SEEDS, on_result=on_result
-        )
+        rows = run_matrix(shared_grid, on_result=on_result)
     return rows, cells, per_seed
 
 
-def test_run_matrix_equals_independent_cells(j30, shared_matrix):
+def test_run_matrix_equals_independent_cells(j30, shared_grid, shared_matrix):
     net, baselines = j30
     rows, cells, _ = shared_matrix
     assert len(rows) == 2 * 3 * 4 * 2
@@ -501,7 +513,8 @@ def test_run_matrix_equals_independent_cells(j30, shared_matrix):
             baselines,
             row.uncertainty,
             row.seed,
-            replicate_count=SHARED_GRID.replicate_count,
+            replicate_count=shared_grid.replicate_count,
+            target_rule=shared_grid.target_rule,
         )
         alone_row, alone_forecast = run_method(scenario, row.strategy, row.method)
         assert alone_row == row
@@ -511,12 +524,12 @@ def test_run_matrix_equals_independent_cells(j30, shared_matrix):
     assert csv_lines(rows) == csv_lines([row for row, _ in cells])
 
 
-def test_run_matrix_computes_each_seed_once(j30, shared_matrix):
+def test_run_matrix_computes_each_seed_once(j30, shared_grid, shared_matrix):
     _, baselines = j30
     _, _, per_seed = shared_matrix
     observed = int(np.count_nonzero(baselines > 0))
     assert sorted(per_seed) == [
-        (u, s) for u in sorted(SHARED_GRID.uncertainties) for s in SHARED_SEEDS
+        (u, s) for u in sorted(shared_grid.uncertainties) for s in SHARED_SEEDS
     ]
     for tally in per_seed.values():
         # one prior forecast (static_mc, full_framework/none) and one
@@ -541,17 +554,16 @@ def test_full_framework_simulates_only_the_final_posterior(monkeypatch):
     assert counts == {"simulate": 1, "map_update": len(DIAMOND_BASELINES)}
 
 
-def test_run_matrix_requires_inputs():
-    grid = GridConfig()
+def test_grid_config_requires_instances_and_seeds():
     with pytest.raises(ConfigError):
-        run_matrix([], grid, seeds=[1])
+        _grid(instances=())
     with pytest.raises(ConfigError):
-        run_matrix([("d", diamond(), DIAMOND_BASELINES)], grid, seeds=[])
+        _grid(seeds=())
     instance = ("d", diamond(), DIAMOND_BASELINES)
     with pytest.raises(ConfigError, match="instance name 'd'"):
-        run_matrix([instance, instance], grid, seeds=[1])
+        _grid(instances=(instance, instance))
     with pytest.raises(ConfigError, match="seed 3 "):
-        run_matrix([instance], grid, seeds=[3, 4, 3])
+        _grid(seeds=(3, 4, 3))
 
 
 def test_derive_seeds_deterministic_and_distinct():
