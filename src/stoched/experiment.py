@@ -125,7 +125,8 @@ class ExperimentRow:
 @dataclass(frozen=True, eq=False)
 class GridConfig:
     """Every axis must be non-empty and hold distinct values (instances by
-    name): repeats would give rows that cannot be told apart."""
+    name, seeds in 0..2**64-1 because stream_key takes them modulo 2**64):
+    repeats would give rows that cannot be told apart."""
 
     instances: tuple[tuple[str, ProjectNetwork, np.ndarray], ...]
     seeds: tuple[int, ...]
@@ -150,6 +151,9 @@ class GridConfig:
                     raise ConfigError(f"unknown {axis} {value!r}")
                 if value in values[:i]:
                     raise ConfigError(f"{axis} {value!r} is given more than once")
+        for seed in self.seeds:
+            if not 0 <= seed < 2**64:
+                raise ConfigError(f"seed {seed} is outside 0..2**64-1")
         if self.replicate_count < 1:
             raise ConfigError(
                 f"replicate_count must be >= 1, got {self.replicate_count}"

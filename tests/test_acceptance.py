@@ -9,7 +9,6 @@ must not be loosened: a check that cannot hold fails loudly.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
 

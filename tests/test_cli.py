@@ -469,6 +469,8 @@ def test_experiment_config_errors(tmp_path, capsys):
         f"instances = {J30}\nreplicate_count = 0\n",
         f"instances = {J30}\nseeds = one two\n",
         f"instances = {J30}\nseeds =\n",  # no seeds
+        f"instances = {J30}\nseeds = -1 18446744073709551615\n",  # equal modulo 2**64
+        f"instances = {J30}\nseeds = 0 18446744073709551616\n",
         f"instances = {J30}\nemit_histograms = maybe\n",
         f"instances = {J30}\nuncertainty = low\nuncertainty = low\n",  # duplicate
         f"instances = {J30}\nbroken line\n",

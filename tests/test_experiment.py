@@ -109,6 +109,8 @@ def test_grid_config_validation():
         dict(target_rule=0.0),
         dict(target_rule=float("nan")),
         dict(target_rule=float("inf")),
+        dict(seeds=(-1,)),  # stream_key would take it as 2**64 - 1
+        dict(seeds=(0, 2**64)),  # equal modulo 2**64
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

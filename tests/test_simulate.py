@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import diamond, path_max, random_dag
-from stoched.durations import FrozenDuration, from_baseline, priors_from_baselines
+from stoched.durations import FrozenDuration, priors_from_baselines
 from stoched.errors import LengthMismatch
 from stoched.network import build_network, compute_cpm, cpm_batch
 from stoched.psplib import parse_sm, to_network
