@@ -46,6 +46,7 @@ from .experiment import (
     POINT_METHODS,
     UNCERTAINTY_SIGMA,
     GridConfig,
+    check_seed,
     csv_lines,
     derive_seeds,
     histogram_csv,
@@ -261,6 +262,7 @@ def cmd_forecast(args) -> int:
     n = args.n
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
+    check_seed(args.seed, "--seed")
     workers = _resolve_threads(args.threads)
     priors = priors_from_baselines(baselines, sigma)
     det = compute_cpm(net, baselines).completion_time
@@ -381,6 +383,7 @@ def cmd_experiment(args) -> int:
     if emit_histograms not in ("true", "false"):
         raise ConfigError("config key 'emit_histograms': expected true or false")
     master_seed = _value(raw, "master_seed", int, 42)
+    check_seed(master_seed, "config key 'master_seed' =")
     seed_count = _value(raw, "seed_count", int, 10)
     if seed_count < 1:
         raise ConfigError("config key 'seed_count' must be >= 1")

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bayes import ObservationRecord, PosteriorState, map_update
+from .bayes import ObservationRecord, PosteriorState, map_updates
 from .durations import (
     DurationModel,
     FrozenDuration,
@@ -122,11 +122,19 @@ class ExperimentRow:
     ci90_width: float
 
 
+def check_seed(seed: int, name: str) -> None:
+    """Raise ConfigError, naming the seed, unless it lies in 0..2**64-1:
+    stream_key takes seeds modulo 2**64, so one outside that range would
+    silently run as another."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} {seed} is outside 0..2**64-1")
+
+
 @dataclass(frozen=True, eq=False)
 class GridConfig:
     """Every axis must be non-empty and hold distinct values (instances by
-    name, seeds in 0..2**64-1 because stream_key takes them modulo 2**64):
-    repeats would give rows that cannot be told apart."""
+    name, seeds in 0..2**64-1 as check_seed asks): repeats would give rows
+    that cannot be told apart."""
 
     instances: tuple[tuple[str, ProjectNetwork, np.ndarray], ...]
     seeds: tuple[int, ...]
@@ -152,8 +160,7 @@ class GridConfig:
                 if value in values[:i]:
                     raise ConfigError(f"{axis} {value!r} is given more than once")
         for seed in self.seeds:
-            if not 0 <= seed < 2**64:
-                raise ConfigError(f"seed {seed} is outside 0..2**64-1")
+            check_seed(seed, "seed")
         if self.replicate_count < 1:
             raise ConfigError(
                 f"replicate_count must be >= 1, got {self.replicate_count}"
@@ -166,7 +173,7 @@ class GridConfig:
 class Scenario:
     """One (instance, uncertainty, seed) and everything its cells share.
 
-    memo holds map_update and simulate results keyed by their arguments,
+    memo holds MAP update and simulate results keyed by their arguments,
     so cells of the scenario that make equal calls compute them once.
     """
 
@@ -292,24 +299,35 @@ def posterior_models(
     tau_mu: float,
     tau_log_sigma: float,
 ) -> list[DurationModel]:
-    """Priors updated by each batch in turn: one map_update per activity
+    """Priors updated by each batch in turn: one MAP update per activity
     and batch, over that activity's records in batch order, stored in
-    memo under (state, records). Activities without observations keep
-    their prior object."""
-    states: dict[int, PosteriorState] = {}
+    memo under (state, records). An activity's updates chain, but those of
+    different activities do not, so the k-th updates of all activities
+    are solved together: one map_updates call over the ones memo does not
+    hold yet. Activities without observations keep their prior object."""
+    updates: dict[int, list[tuple[ObservationRecord, ...]]] = {}
     for batch in batches:
         grouped: dict[int, list[ObservationRecord]] = {}
         for record in batch:
             grouped.setdefault(record.activity, []).append(record)
         for activity, records in grouped.items():
-            state = states.get(activity)
-            if state is None:
-                state = PosteriorState(
-                    priors[activity], tau_mu=tau_mu, tau_log_sigma=tau_log_sigma
-                )
-            states[activity] = _cached(
-                memo, (state, tuple(records)), lambda: map_update(state, records)
-            )
+            updates.setdefault(activity, []).append(tuple(records))
+    states = {
+        activity: PosteriorState(
+            priors[activity], tau_mu=tau_mu, tau_log_sigma=tau_log_sigma
+        )
+        for activity in updates
+    }
+    for k in range(max(map(len, updates.values()), default=0)):
+        keys = {
+            activity: (states[activity], records[k])
+            for activity, records in updates.items()
+            if k < len(records)
+        }
+        pending = [key for key in keys.values() if key not in memo]
+        memo.update(zip(pending, map_updates(pending)))
+        for activity, key in keys.items():
+            states[activity] = memo[key]
     return [
         states[i].params if i in states else priors[i]
         for i in range(len(priors))

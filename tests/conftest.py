@@ -1,6 +1,7 @@
 """Shared test helpers: fixture loading, small networks, random DAGs,
-the lognormal log-density oracle, a pure-Python splitmix64 uniform and a
-frozen copy of the library-built MAP quadrature."""
+the lognormal log-density oracle, a pure-Python splitmix64 uniform, a
+frozen copy of the library-built MAP quadrature and a frozen copy of the
+MAP update that ran scipy's Nelder-Mead."""
 
 from __future__ import annotations
 
@@ -9,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from stoched.durations import LognormalParams
+from stoched import bayes
+from stoched.bayes import PosteriorState, log_prior, marginal_log_likelihood
+from stoched.durations import SIGMA_MIN, LognormalParams
+from stoched.errors import OptimizationFailed
 from stoched.network import ProjectNetwork, build_network, enumerate_paths
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -128,6 +133,86 @@ def reference_quadrature(
         z_n = (values[:, None] - nodes) / noise[:, None]
         log_normal = -np.log(noise)[:, None] - _LOG_SQRT_2PI - 0.5 * z_n * z_n
         return logsumexp(log_normal + log_lognormal + log_w, axis=1)
+
+
+def _reference_objective(mu, log_sigma, obs, state):
+    if abs(mu) > bayes._MU_BOUND or not bayes._LOG_SIGMA_LO <= log_sigma <= bayes._LOG_SIGMA_HI:
+        return -math.inf
+    if abs(mu) + 6.0 * math.exp(log_sigma) > bayes._LOG_SPAN_MAX:
+        return -math.inf
+    theta = LognormalParams(mu=mu, sigma=math.exp(log_sigma))
+    return marginal_log_likelihood(theta, obs) + log_prior(theta, state)
+
+
+def reference_nelder_mead(state: PosteriorState, obs):
+    """scipy's Nelder-Mead on the negated MAP objective, from the state's
+    params, with the options the MAP update used."""
+
+    def negated(x: np.ndarray) -> float:
+        return -_reference_objective(float(x[0]), float(x[1]), obs, state)
+
+    x0 = np.array([state.params.mu, math.log(state.params.sigma)])
+    # A simplex that sees only -inf subtracts inf from inf in its
+    # convergence test; that case is handled by the grid fallback.
+    with np.errstate(invalid="ignore"):
+        return minimize(
+            negated,
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": 500, "xatol": 1e-6, "fatol": 1e-8},
+        )
+
+
+def reference_map_update(state: PosteriorState, new_obs) -> PosteriorState:
+    """The MAP update as it stood when it called
+    scipy.optimize.minimize(method="Nelder-Mead") one problem at a time:
+    the oracle that the lockstep solver must match bit for bit."""
+    obs = tuple(new_obs)
+    bayes._validate_records(obs)
+    if not obs:
+        return state
+
+    x0 = np.array([state.params.mu, math.log(state.params.sigma)])
+    result = reference_nelder_mead(state, obs)
+    best_mu, best_log_sigma = float(result.x[0]), float(result.x[1])
+    best_value = -float(result.fun)
+
+    if not (result.success and math.isfinite(best_value)):
+        grid_mu, grid_log_sigma, grid_value = reference_grid_argmax(x0, obs, state)
+        if not math.isfinite(best_value) or grid_value > best_value:
+            best_mu, best_log_sigma, best_value = grid_mu, grid_log_sigma, grid_value
+        if not math.isfinite(best_value):
+            raise OptimizationFailed(
+                "MAP objective is non-finite at every probe point"
+            )
+    if best_mu + 0.5 * math.exp(2.0 * best_log_sigma) > bayes._LOG_SPAN_MAX:
+        raise OptimizationFailed(
+            f"MAP estimate mu={best_mu:.6g}, sigma={math.exp(best_log_sigma):.6g} "
+            "has a mean duration too large to represent"
+        )
+
+    params = LognormalParams(
+        mu=best_mu, sigma=max(math.exp(best_log_sigma), SIGMA_MIN)
+    )
+    return PosteriorState(
+        params,
+        state.observation_count + len(obs),
+        state.tau_mu,
+        state.tau_log_sigma,
+    )
+
+
+def reference_grid_argmax(x0, obs, state, objective=_reference_objective):
+    """The fallback grid search one point at a time, mu outer."""
+    mus = np.linspace(x0[0] - 3.0, x0[0] + 3.0, 41)
+    log_sigmas = np.linspace(math.log(1e-3), math.log(2.0), 41)
+    best = (float(x0[0]), float(x0[1]), -math.inf)
+    for mu in mus:
+        for ls in log_sigmas:
+            value = objective(float(mu), float(ls), obs, state)
+            if value > best[2]:
+                best = (float(mu), float(ls), value)
+    return best
 
 
 @pytest.fixture

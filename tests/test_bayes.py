@@ -13,25 +13,31 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.special import logsumexp
 
-from conftest import log_pdf, reference_quadrature
+from conftest import (
+    log_pdf,
+    reference_grid_argmax,
+    reference_map_update,
+    reference_nelder_mead,
+    reference_quadrature,
+)
 from stoched import bayes
 from stoched.bayes import (
     ObservationRecord,
     PosteriorState,
     log_prior,
     map_update,
+    map_updates,
     marginal_log_likelihood,
     parse_observation_text,
 )
 from stoched.durations import LognormalParams, expected_duration, from_baseline
-from stoched.errors import MixedActivities, ObservationFormatError
+from stoched.errors import MixedActivities, ObservationFormatError, OptimizationFailed
 
 
 def oracle_mll(theta: LognormalParams, obs) -> float:
@@ -224,11 +230,22 @@ def _quadrature_case(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_quadrature_case())
-def test_quadrature_matches_library_built_reference_bit_for_bit(case):
-    theta, values, noise = case
-    got = bayes._per_observation_log_likelihood(theta, values, noise)
-    assert got.tobytes() == reference_quadrature(theta, values, noise).tobytes()
+@given(st.lists(_quadrature_case(), min_size=1, max_size=3))
+def test_quadrature_matches_library_built_reference_bit_for_bit(cases):
+    # One call over the rows of every case, each case under its own theta.
+    records = [
+        ObservationRecord(0, float(v), float(n))
+        for _, values, noise in cases
+        for v, n in zip(values, noise)
+    ]
+    got = bayes._quadrature(
+        bayes._Terms.of(records),
+        [theta.mu for theta, _, _ in cases],
+        [theta.sigma for theta, _, _ in cases],
+        [len(values) for _, values, _ in cases],
+    )
+    expected = [reference_quadrature(*case) for case in cases]
+    assert got.tobytes() == np.concatenate(expected).tobytes()
 
 
 # ----------------------------------------------------------------- log_prior
@@ -298,26 +315,169 @@ def test_grid_fallback_recovers_when_nelder_mead_sees_only_minus_inf(monkeypatch
 
 
 def test_non_converged_nelder_mead_loses_to_the_grid_point(monkeypatch):
-    # A simplex that stopped without converging, at a finite but poor
+    # A simplex that stopped at its iteration cap, at a finite but poor
     # point, must not be taken as the MAP estimate.
+    monkeypatch.setattr(bayes, "_NM_MAXITER", 3)
     state = PosteriorState(from_baseline(10.0, 0.3), tau_mu=0.3, tau_log_sigma=0.8)
-    obs = [ObservationRecord(0, 12.0, 0.5)]
-    poor = np.array([state.params.mu - 2.0, math.log(state.params.sigma)])
-    poor_value = bayes._objective(float(poor[0]), float(poor[1]), obs, state)
-    assert math.isfinite(poor_value)
-
-    def stalled(fun, x0, **kwargs):
-        return scipy.optimize.OptimizeResult(
-            x=poor, fun=-poor_value, success=False, nit=500
-        )
-
-    monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+    obs = (ObservationRecord(0, 12.0, 0.5),)
+    problems = bayes._Problems([(state, obs)])
+    xs, funs, converged = bayes._nelder_mead(problems)
+    poor_value = -float(funs[0])
+    assert not converged[0] and math.isfinite(poor_value)
     post = map_update(state, obs)
-    x0 = np.array([state.params.mu, math.log(state.params.sigma)])
-    grid_mu, grid_log_sigma, grid_value = bayes._grid_argmax(x0, obs, state)
+    grid_mu, grid_log_sigma, grid_value = bayes._grid_argmax(problems, 0)
     assert grid_value > poor_value
     assert post.params.mu == grid_mu
     assert post.params.sigma == math.exp(grid_log_sigma)
+
+
+def _one_point_objective(problems):
+    def objective(mu, log_sigma, obs, state):
+        return problems.objectives(np.array([0]), np.array([[mu, log_sigma]]))[0]
+
+    return objective
+
+
+@pytest.mark.parametrize("block_rows", [bayes._BLOCK_ROWS, 7])
+def test_grid_argmax_matches_a_loop_over_single_points(monkeypatch, block_rows):
+    # The fallback case of the test above: only part of the grid lies
+    # inside the mu box. Its points share one quadrature call, or 7 rows
+    # of them each.
+    monkeypatch.setattr(bayes, "_BLOCK_ROWS", block_rows)
+    state = PosteriorState(LognormalParams(202.0, 0.5))
+    observed = math.exp(199.5)
+    obs = (ObservationRecord(0, observed, 0.1 * observed),)
+    problems = bayes._Problems([(state, obs)])
+    x0 = problems.x0[0]
+    expected = reference_grid_argmax(x0, obs, state, _one_point_objective(problems))
+    assert math.isfinite(expected[2])
+    assert bayes._grid_argmax(problems, 0) == expected
+
+
+def test_grid_argmax_keeps_the_first_of_tied_points_and_never_nan(monkeypatch):
+    # Values on a few levels, so that the maximum ties, and NaN on level
+    # -1 and wherever ln sigma > 0: a NaN must lose to any number.
+    def value(mu, log_sigma):
+        level = -abs(round(2.0 * (mu - 1.0)))
+        return math.nan if log_sigma > 0.0 or level == -1 else float(level)
+
+    def objectives(self, ids, x):
+        return [value(mu, log_sigma) for mu, log_sigma in x.tolist()]
+
+    monkeypatch.setattr(bayes._Problems, "objectives", objectives)
+    state = PosteriorState(LognormalParams(1.0, 0.5))
+    problems = bayes._Problems([(state, (ObservationRecord(0, 3.0, 0.5),))])
+    x0 = problems.x0[0]
+    got = bayes._grid_argmax(problems, 0)
+    assert got == reference_grid_argmax(
+        x0, None, state, lambda mu, log_sigma, obs, state: value(mu, log_sigma)
+    )
+    # the lowest mu on the top level, at the lowest ln sigma
+    assert got[2] == 0.0 and got[0] < x0[0] and got[1] == math.log(1e-3)
+
+    monkeypatch.setattr(
+        bayes._Problems, "objectives", lambda self, ids, x: [math.nan] * len(x)
+    )
+    assert bayes._grid_argmax(problems, 0) == (float(x0[0]), float(x0[1]), -math.inf)
+
+
+@st.composite
+def _update_pair(draw):
+    """A (state, records) pair of one of four kinds: a plain update; tiny
+    or huge noise and durations at or below zero; a start outside the mu
+    box, where every simplex probe is -inf and the grid fallback runs;
+    and a near-flat objective (vague prior, huge noise) whose simplex
+    values tie or differ in the last bits."""
+    kind = draw(st.sampled_from(["plain", "extreme", "outside", "flat"]))
+    if kind == "outside":
+        mu0 = draw(st.floats(200.5, 204.0))
+        state = PosteriorState(LognormalParams(mu0, 0.5))
+        center = math.exp(mu0 - 2.5)
+        values = st.floats(0.5, 2.0).map(lambda f: f * center)
+        noise = st.just(0.1 * center)
+    else:
+        mu0 = draw(st.floats(-2.0, 4.0))
+        sigma0 = math.exp(draw(st.floats(-3.0, 0.5)))
+        taus = (1e300, 1e300) if kind == "flat" else draw(
+            st.tuples(st.sampled_from([0.01, 0.3, 10.0]), st.sampled_from([0.5, 0.8]))
+        )
+        state = PosteriorState(LognormalParams(mu0, sigma0), 0, *taus)
+        typical = math.exp(mu0)
+        values = st.floats(0.2, 3.0).map(lambda f: f * typical)
+        noise = st.floats(0.02, 1.0).map(lambda f: f * typical)
+        if kind == "extreme":
+            values = st.one_of(values, st.floats(-5.0, 0.0))
+            noise = st.one_of(noise, st.sampled_from([1e-300, 1e-9, 1e9, 1e200]))
+        elif kind == "flat":
+            noise = st.sampled_from([1e150, 1e200])
+    count = draw(st.integers(1, 4))
+    records = [
+        ObservationRecord(0, draw(values), draw(noise)) for _ in range(count)
+    ]
+    return state, records
+
+
+def _updated_or_error(pairs):
+    """map_update of each pair as the reference computes it, up to and
+    including the first error."""
+    out = []
+    for state, records in pairs:
+        try:
+            out.append(reference_map_update(state, records))
+        except OptimizationFailed as exc:
+            out.append(exc)
+            break
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_update_pair(), min_size=1, max_size=8))
+def test_map_updates_follow_scipy_nelder_mead_bit_for_bit(pairs):
+    expected = _updated_or_error(pairs)
+    if isinstance(expected[-1], OptimizationFailed):
+        with pytest.raises(OptimizationFailed) as raised:
+            map_updates(pairs)
+        assert str(raised.value) == str(expected[-1])
+        return
+    got = map_updates(pairs)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.params.mu.hex() == b.params.mu.hex()
+        assert a.params.sigma.hex() == b.params.sigma.hex()
+        assert (a.observation_count, a.tau_mu, a.tau_log_sigma) == (
+            b.observation_count, b.tau_mu, b.tau_log_sigma
+        )
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(_update_pair(), min_size=1, max_size=4))
+def test_lockstep_simplex_ends_where_scipy_ends(pairs):
+    # x, fun and success before the grid fallback, which can hide a
+    # difference in where a non-converged simplex stopped.
+    xs, funs, converged = bayes._nelder_mead(
+        bayes._Problems([(state, tuple(records)) for state, records in pairs])
+    )
+    for x, fun, success, (state, records) in zip(xs, funs, converged, pairs):
+        expected = reference_nelder_mead(state, tuple(records))
+        assert x.tobytes() == expected.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(expected.fun).tobytes()
+        assert success == expected.success
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(_update_pair(), min_size=2, max_size=8), st.randoms())
+def test_map_update_does_not_depend_on_its_batch(pairs, random):
+    alone = []
+    for pair in pairs:
+        try:
+            alone.append((pair, map_update(*pair)))
+        except OptimizationFailed:
+            pass
+    shuffled = list(alone)
+    random.shuffle(shuffled)
+    together = map_updates([pair for pair, _ in alone])
+    assert together == [state for _, state in alone]
+    assert map_updates([pair for pair, _ in shuffled]) == [state for _, state in shuffled]
 
 
 def test_optimizer_beats_grid_on_random_cases():

@@ -210,14 +210,19 @@ def test_experiment_failing_part_way_leaves_no_result_files(tmp_path, capsys, mo
         ("forecast", J30, "--sigma", "2e154"),  # sigma^2 overflows
         ("forecast", J30, "--sigma", "1e308"),
         ("forecast", J30, "--sigma", "1e-300"),  # below the sigma floor
+        # stream_key takes seeds modulo 2**64: -1 would run as 2**64 - 1
+        ("forecast", J30, "--seed", "-1"),
+        ("forecast", J30, "--seed", "18446744073709551616"),
     ],
 )
-def test_forecast_flag_validation(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+def test_forecast_flag_validation(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
     assert code == EXIT_USAGE
     assert err.startswith("error:")
     assert out == ""
     assert argv[2] in err
+    assert not out_dir.exists()
 
 
 def test_sigma_below_floor_names_the_floor(capsys):
@@ -471,6 +476,8 @@ def test_experiment_config_errors(tmp_path, capsys):
         f"instances = {J30}\nseeds =\n",  # no seeds
         f"instances = {J30}\nseeds = -1 18446744073709551615\n",  # equal modulo 2**64
         f"instances = {J30}\nseeds = 0 18446744073709551616\n",
+        f"instances = {J30}\nmaster_seed = -1\n",  # runs as 2**64 - 1
+        f"instances = {J30}\nmaster_seed = 18446744073709551616\n",
         f"instances = {J30}\nemit_histograms = maybe\n",
         f"instances = {J30}\nuncertainty = low\nuncertainty = low\n",  # duplicate
         f"instances = {J30}\nbroken line\n",

@@ -354,9 +354,9 @@ def test_posterior_models_reuses_memoized_updates(monkeypatch):
     batches = [[ObservationRecord(1, 3.5, 0.4)], [ObservationRecord(1, 4.5, 0.4)]]
     memo: dict = {}
     first = posterior_models(DIAMOND_PRIORS, batches, memo, 0.4, 0.7)
-    counts = _count_calls(monkeypatch, names=("map_update",))
+    counts = _count_calls(monkeypatch, names=("map_updates",))
     again = posterior_models(DIAMOND_PRIORS, batches, memo, 0.4, 0.7)
-    assert counts == {"map_update": 0}
+    assert counts == {"map_updates": 0}
     assert again == first
     assert len(memo) == 2
 
@@ -414,19 +414,21 @@ def _count_calls(
     monkeypatch,
     names=(
         "simulate",
-        "map_update",
+        "map_updates",
         "generate_ground_truth",
         "generate_observations",
         "compute_cpm",
     ),
 ) -> dict:
-    """Wrap the experiment module's functions of these names with counters."""
+    """Wrap the experiment module's functions of these names with counters:
+    calls, except that map_updates counts the (state, records) pairs it
+    solves."""
     counts = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(stoched.experiment, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            counts[_name] += len(args[0]) if _name == "map_updates" else 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(stoched.experiment, name, counted)
@@ -541,7 +543,7 @@ def test_run_matrix_computes_each_seed_once(j30, shared_grid, shared_matrix):
         # means (15 of j30's differ from their baseline in the last bit)
         # and the updated posterior means
         assert tally["simulate"] == 2 + 3
-        assert tally["map_update"] == observed
+        assert tally["map_updates"] == observed
         # one realization and one set of observations for all 12 cells
         assert tally["generate_ground_truth"] == 1
         assert tally["generate_observations"] == 1
@@ -551,9 +553,9 @@ def test_run_matrix_computes_each_seed_once(j30, shared_grid, shared_matrix):
 
 
 def test_full_framework_simulates_only_the_final_posterior(monkeypatch):
-    counts = _count_calls(monkeypatch, names=("simulate", "map_update"))
+    counts = _count_calls(monkeypatch, names=("simulate", "map_updates"))
     run_method(_diamond_scenario(4, 50), "continuous", "full_framework")
-    assert counts == {"simulate": 1, "map_update": len(DIAMOND_BASELINES)}
+    assert counts == {"simulate": 1, "map_updates": len(DIAMOND_BASELINES)}
 
 
 def test_grid_config_requires_instances_and_seeds():

@@ -16,11 +16,11 @@ SRC = ROOT / "src"
 
 
 # The probe runs in a fresh interpreter, so each check sees only the imports
-# above it. The lower layers load no scipy, bayes or experiment, and
-# scipy.optimize is imported by map_update when it first runs, so parse and
-# forecast never load it.
+# above it. The lower layers load no scipy, bayes or experiment, and no
+# command path loads scipy.optimize: the MAP update runs its own
+# Nelder-Mead, so even an update with observations leaves it out.
 LAYERING_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import stoched.durations, stoched.network, stoched.psplib
 heavy = sorted(
     m for m in sys.modules
@@ -29,18 +29,24 @@ heavy = sorted(
 import stoched.simulate
 kind = type(stoched.simulate).__name__
 import stoched.cli
-print(json.dumps([heavy, kind, "scipy.optimize" in sys.modules]))
+after_import = "scipy.optimize" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = stoched.cli.main(["update", *sys.argv[1:], "--n", "50"])
+print(json.dumps([heavy, kind, after_import, code, "scipy.optimize" in sys.modules]))
 """
 
 
-def test_cli_import_leaves_out_the_optimizer():
+def test_cli_import_leaves_out_the_optimizer(tmp_path):
+    log = tmp_path / "site.log"
+    log.write_text("1 9.5 0.5\n2 4.0 0.5\n2 4.4 0.5\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    j30 = ROOT / "tests" / "fixtures" / "j30_fix_a.sm"
     result = subprocess.run(
-        [sys.executable, "-c", LAYERING_PROBE],
+        [sys.executable, "-c", LAYERING_PROBE, str(j30), str(log)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(result.stdout) == [[], "module", False]
+    assert json.loads(result.stdout) == [[], "module", False, 0, False]
 
 
 def test_readme_library_example_runs(monkeypatch, capsys):
