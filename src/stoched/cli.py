@@ -383,7 +383,7 @@ def cmd_experiment(args) -> int:
     if emit_histograms not in ("true", "false"):
         raise ConfigError("config key 'emit_histograms': expected true or false")
     master_seed = _value(raw, "master_seed", int, 42)
-    check_seed(master_seed, "config key 'master_seed' =")
+    check_seed(master_seed, "config key 'master_seed'")
     seed_count = _value(raw, "seed_count", int, 10)
     if seed_count < 1:
         raise ConfigError("config key 'seed_count' must be >= 1")

@@ -127,7 +127,7 @@ def check_seed(seed: int, name: str) -> None:
     stream_key takes seeds modulo 2**64, so one outside that range would
     silently run as another."""
     if not 0 <= seed < 2**64:
-        raise ConfigError(f"{name} {seed} is outside 0..2**64-1")
+        raise ConfigError(f"{name}: {seed} is outside 0..2**64-1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +160,7 @@ class GridConfig:
                 if value in values[:i]:
                     raise ConfigError(f"{axis} {value!r} is given more than once")
         for seed in self.seeds:
-            check_seed(seed, "seed")
+            check_seed(seed, "seeds")
         if self.replicate_count < 1:
             raise ConfigError(
                 f"replicate_count must be >= 1, got {self.replicate_count}"
