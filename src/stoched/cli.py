@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -49,6 +48,7 @@ from .experiment import (
     check_seed,
     csv_lines,
     derive_seeds,
+    finite_json,
     histogram_csv,
     jsonl_lines,
     median_rmse_by_method,
@@ -200,7 +200,7 @@ def _load_instance(path: str, digests: dict):
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return finite_json(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _make_out_dir(path: str) -> Path:

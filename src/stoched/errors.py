@@ -76,3 +76,7 @@ class NumericalError(StochedError):
 
 class OptimizationFailed(NumericalError):
     """MAP found no finite objective, or an estimate with an overflowing mean."""
+
+
+class NonFiniteResult(NumericalError):
+    """A duration draw or a reported value overflowed to inf or NaN."""

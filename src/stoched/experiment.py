@@ -52,7 +52,7 @@ from .durations import (
     is_frozen,
     priors_from_baselines,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteResult
 from .metrics import mae, rmse
 from .network import ProjectNetwork, compute_cpm
 from .rng import normals, stream_key
@@ -236,7 +236,12 @@ def generate_ground_truth(
     true_durations = np.zeros(n)
     for i, model in enumerate(priors):
         if not is_frozen(model):
-            true_durations[i] = math.exp(model.mu + model.sigma * z[i])
+            try:
+                true_durations[i] = math.exp(model.mu + model.sigma * z[i])
+            except OverflowError:
+                raise NonFiniteResult(
+                    f"activity {i}: the ground-truth duration draw overflows"
+                ) from None
     cpm = compute_cpm(net, true_durations)
     return GroundTruth(true_durations, cpm.completion_time, cpm.earliest_finish)
 
@@ -461,8 +466,19 @@ def csv_lines(rows: Iterable[ExperimentRow]) -> str:
 
 
 def jsonl_lines(rows: Iterable[ExperimentRow]) -> str:
-    out = [json.dumps(dict(_row_values(r)), sort_keys=True) for r in rows]
+    out = [finite_json(dict(_row_values(r)), sort_keys=True) for r in rows]
     return "\n".join(out) + "\n"
+
+
+def finite_json(value, **dump_args) -> str:
+    """json.dumps, raising NonFiniteResult where it would write NaN or
+    Infinity, which are not JSON."""
+    try:
+        return json.dumps(value, allow_nan=False, **dump_args)
+    except ValueError:
+        raise NonFiniteResult(
+            "a result is inf or NaN: the durations overflow double precision"
+        ) from None
 
 
 def completion_histogram(samples) -> list[tuple[float, float, int]]:

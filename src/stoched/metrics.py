@@ -14,7 +14,8 @@ import numpy as np
 
 def rmse(samples, t_true: float) -> float:
     x = np.asarray(samples, dtype=np.float64)
-    return float(np.sqrt(np.mean((x - t_true) ** 2)))
+    with np.errstate(over="ignore"):  # inf, which the JSON writers reject
+        return float(np.sqrt(np.mean((x - t_true) ** 2)))
 
 
 def mae(samples, t_true: float) -> float:

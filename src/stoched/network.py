@@ -23,6 +23,7 @@ from .errors import (
     DuplicateEdge,
     InvalidEdge,
     LengthMismatch,
+    NonFiniteResult,
     PathBudgetExceeded,
 )
 
@@ -112,38 +113,56 @@ def build_network(n: int, edges) -> ProjectNetwork:
     )
 
 
-def cpm_batch(net: ProjectNetwork, durations: np.ndarray) -> CpmResult:
-    """Forward/backward pass for an (activities, replicates) duration matrix."""
+def cpm_batch(
+    net: ProjectNetwork, durations: np.ndarray, es=None, ef=None, ls=None
+) -> CpmResult:
+    """Forward/backward pass for an (activities, replicates) duration matrix.
+
+    es, ef and ls, when given, are caller-owned float64 work arrays of the
+    matrix's shape. The pass overwrites every cell of them and returns ef
+    as earliest_finish.
+    """
     durations = np.ascontiguousarray(durations, dtype=np.float64)
     if durations.ndim != 2 or durations.shape[0] != net.activity_count:
         raise LengthMismatch(
             f"duration matrix must have {net.activity_count} rows, "
             f"got shape {durations.shape}"
         )
-    if not np.all(np.isfinite(durations)) or np.any(durations < 0):
+    # NaN fails both comparisons; reductions allocate no (n, R) temporary
+    if durations.size and not (durations.min() >= 0 and durations.max() < np.inf):
         raise ValueError("durations must be finite and >= 0")
 
     shape = durations.shape
-    es, ef = np.zeros(shape), np.empty(shape)
-    for i in net.topo_order:
-        row, preds = es[i], net.predecessors[i]
-        if preds:
-            row[:] = ef[preds[0]]
-            for p in preds[1:]:
+    es, ef, ls = (np.empty(shape) if a is None else a for a in (es, ef, ls))
+    # The first max (min) of two or more rows reads two rows, so none is
+    # copied first; the fold order is the predecessor (successor) order.
+    with np.errstate(over="ignore"):
+        for i in net.topo_order:
+            row, preds = es[i], net.predecessors[i]
+            if len(preds) > 1:
+                np.maximum(ef[preds[0]], ef[preds[1]], out=row)
+            else:
+                row[:] = ef[preds[0]] if preds else 0.0
+            for p in preds[2:]:
                 np.maximum(row, ef[p], out=row)
-        np.add(row, durations[i], out=ef[i])
+            np.add(row, durations[i], out=ef[i])
 
+    # an overflowing finish time reaches a sink: every path ends at one
     completion = ef[list(net.sinks)].max(axis=0)
+    if completion.size and not completion.max() < np.inf:
+        raise NonFiniteResult("a completion time overflows double precision")
 
     # Every sink is anchored at the batch completion time, so a sink that
     # finishes early carries positive float instead of defining its own
     # deadline. Each ls row first holds the latest finish, then has its
     # duration subtracted in place.
-    ls = np.empty(shape)
     for i in reversed(net.topo_order):
         row, succs = ls[i], net.successors[i]
-        row[:] = ls[succs[0]] if succs else completion
-        for s in succs[1:]:
+        if len(succs) > 1:
+            np.minimum(ls[succs[0]], ls[succs[1]], out=row)
+        else:
+            row[:] = ls[succs[0]] if succs else completion
+        for s in succs[2:]:
             np.minimum(row, ls[s], out=row)
         row -= durations[i]
 

@@ -7,21 +7,36 @@ activity) counters on a stream keyed by the config seed, and replicates
 are processed in fixed-size chunks whose results land in preallocated
 index-ordered arrays, so the output is bit-identical for any worker
 count. Criticality counts are integers and sum exactly.
+
+Each worker allocates its buffers once per call: the (activities, chunk)
+duration matrix, the kernel's es/ef/ls arrays and one block of counters.
+It takes chunk indices from a shared counter and reuses those buffers for
+every chunk it takes, so a call's memory does not grow with N or hang on
+the allocator's trim heuristics. A chunk's draws are made one block of
+_BLOCK_ROWS activities at a time, hashed, transformed and exponentiated
+in place in the block's own duration rows, which stay in cache
+throughout. Every buffer cell a chunk reads was written for that chunk,
+so reused buffers never enter results.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .durations import DurationModel, FrozenDuration
-from .errors import LengthMismatch
+from .errors import LengthMismatch, NonFiniteResult
 from .network import ProjectNetwork, cpm_batch
 from .rng import normals, stream_key
 
 _CHUNK = 4096
+# Activities drawn per block: 16 x 4096 cells is 512 KB per array, which
+# keeps a block's counters, draws and hash scratch in L2.
+_BLOCK_ROWS = 16
 
 QUANTILE_LEVELS = (0.05, 0.5, 0.95)
 
@@ -64,25 +79,42 @@ def simulate(
     samples = np.empty(n_rep)
     chunk_bounds = [(a, min(a + _CHUNK, n_rep)) for a in range(0, n_rep, _CHUNK)]
     chunk_counts = np.empty((len(chunk_bounds), n), dtype=np.int64)
+    sampler = _Sampler(per_activity, cfg.seed)
+    width = min(_CHUNK, n_rep)
+    pending = iter(range(len(chunk_bounds)))
+    lock = threading.Lock()
 
-    def run_chunk(index: int) -> None:
-        a, b = chunk_bounds[index]
-        durations = sample_duration_matrix(net, per_activity, cfg.seed, a, b)
-        batch = cpm_batch(net, durations)
-        samples[a:b] = batch.completion_time
-        chunk_counts[index] = batch.critical_mask.sum(axis=1)
+    def worker() -> None:
+        matrices = [np.empty(n * width) for _ in range(4)]
+        counters = sampler.counter_buffer(width)
+        while True:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            a, b = chunk_bounds[index]
+            # a flat prefix keeps a short last chunk C-contiguous
+            durations, es, ef, ls = (m[: n * (b - a)].reshape(n, b - a) for m in matrices)
+            sampler.fill(durations, a, counters)
+            batch = cpm_batch(net, durations, es=es, ef=ef, ls=ls)
+            samples[a:b] = batch.completion_time
+            chunk_counts[index] = batch.critical_mask.sum(axis=1)
 
-    if workers > 1 and len(chunk_bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, range(len(chunk_bounds))))
+    threads = min(workers, len(chunk_bounds))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for future in [pool.submit(worker) for _ in range(threads)]:
+                future.result()
     else:
-        for index in range(len(chunk_bounds)):
-            run_chunk(index)
+        worker()
 
     counts = chunk_counts.sum(axis=0)
 
-    expected = float(np.mean(samples))
-    variance = float(np.mean((samples - expected) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.mean(samples))
+        variance = float(np.mean((samples - expected) ** 2))
+    if not math.isfinite(variance):  # also when the mean overflows
+        raise NonFiniteResult("the completion-time variance overflows double precision")
     levels = np.quantile(samples, QUANTILE_LEVELS)
     quantiles = {level: float(q) for level, q in zip(QUANTILE_LEVELS, levels)}
     return ForecastResult(
@@ -115,25 +147,60 @@ def sample_duration_matrix(
     The matrix is activity-major, (activities, replicates), as cpm_batch
     takes it. Cell (i, k) is drawn at counter k*n + i of the seed's "sim"
     stream: addressing by absolute replicate and activity keeps chunking
-    out of the results. Frozen activities keep their constant and use no
-    draws.
+    out of the results. Frozen activities keep their constant, and no
+    other cell's draw depends on them. simulate draws each chunk through
+    the same _Sampler.fill.
     """
-    n = net.activity_count
-    durations = np.empty((n, row_stop - row_start))
-    active = []
-    for i, m in enumerate(per_activity):
-        if isinstance(m, FrozenDuration):
-            durations[i] = m.value
-        else:
-            active.append(i)
-    if active:
-        mu = np.array([[per_activity[i].mu] for i in active])
-        sigma = np.array([[per_activity[i].sigma] for i in active])
-        k = np.arange(row_start, row_stop, dtype=np.uint64)[None, :]
-        i = np.array(active, dtype=np.uint64)[:, None]
-        z = normals(stream_key(seed, "sim"), k * np.uint64(n) + i)
-        # in place, and bit-equal to exp(mu + sigma * z): + and * commute
-        z *= sigma
-        z += mu
-        durations[active] = np.exp(z, out=z)
+    durations = np.empty((net.activity_count, row_stop - row_start))
+    sampler = _Sampler(per_activity, seed)
+    sampler.fill(durations, row_start, sampler.counter_buffer(durations.shape[1]))
     return durations
+
+
+class _Sampler:
+    """The draws of one per-activity model list on one seed's "sim"
+    stream, as (activities, 1) columns: counter offsets and lognormal
+    parameters, with mu = sigma = 0 on frozen rows, and the frozen
+    constants that overwrite those rows."""
+
+    def __init__(self, per_activity: list[DurationModel], seed: int) -> None:
+        frozen = [isinstance(m, FrozenDuration) for m in per_activity]
+        self.frozen = [(i, m.value) for i, m in enumerate(per_activity) if frozen[i]]
+        self.offsets = np.arange(len(per_activity), dtype=np.uint64)[:, None]
+        self.mu = np.array([[0.0 if f else m.mu] for m, f in zip(per_activity, frozen)])
+        self.sigma = np.array([[0.0 if f else m.sigma] for m, f in zip(per_activity, frozen)])
+        # blocks of _BLOCK_ROWS activities, but none with nothing to draw
+        self.blocks = [
+            (a, a + _BLOCK_ROWS)
+            for a in range(0, len(frozen), _BLOCK_ROWS)
+            if not all(frozen[a : a + _BLOCK_ROWS])
+        ]
+        self.key = stream_key(seed, "sim")
+
+    def counter_buffer(self, width: int) -> np.ndarray:
+        """The counters of a block of up to width replicates."""
+        return np.empty(min(_BLOCK_ROWS, len(self.offsets)) * width, dtype=np.uint64)
+
+    def fill(self, durations: np.ndarray, row_start: int, counters: np.ndarray) -> None:
+        """Write replicates row_start.. into durations, (activities,
+        replicates), hashing each block in its own rows: exp(0) on a
+        frozen row until its constant overwrites it. Raises
+        NonFiniteResult if a draw overflows."""
+        n, width = durations.shape
+        replicate_base = np.arange(row_start, row_start + width, dtype=np.uint64)
+        replicate_base *= np.uint64(n)
+        with np.errstate(over="ignore"):
+            for a, b in self.blocks:
+                z = durations[a:b]
+                c = counters[: z.size].reshape(z.shape)
+                np.add(replicate_base, self.offsets[a:b], out=c)
+                normals(self.key, c, out=z)
+                # in place, and bit-equal to exp(mu + sigma * z): + and * commute
+                z *= self.sigma[a:b]
+                z += self.mu[a:b]
+                np.exp(z, out=z)
+                if not z.max() < np.inf:
+                    bad = a + int(np.argmin(np.isfinite(z).all(axis=1)))
+                    raise NonFiniteResult(f"activity {bad}: a duration draw overflows")
+        for i, value in self.frozen:
+            durations[i] = value

@@ -552,6 +552,66 @@ def test_experiment_missing_instance_file(tmp_path, capsys):
     assert "no such file" in err
 
 
+def _huge_durations(tmp_path, durations: dict[int, int]) -> str:
+    """A copy of j30_fix_a.sm with the given jobs' durations replaced."""
+    lines = read_fixture("j30_fix_a.sm").splitlines(keepends=True)
+    table = next(i for i, line in enumerate(lines) if line.startswith("REQUESTS")) + 3
+    for job, duration in durations.items():
+        fields = lines[table + job - 1].split()
+        assert fields[0] == str(job)
+        fields[2] = str(duration)
+        lines[table + job - 1] = "  ".join(fields) + "\n"
+    path = tmp_path / "huge.sm"
+    path.write_text("".join(lines))
+    return str(path)
+
+
+def _assert_numerical_failure(code, out, err, out_dir=None):
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("error:") and "overflows" in err
+    assert len(err.splitlines()) == 1
+    if out_dir is not None:
+        assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["forecast", "update", "experiment"])
+def test_overflowing_draw_is_numerical_failure(tmp_path, capsys, command):
+    # job 5 (activity 4) at 1e308: its lognormal draws overflow to inf
+    instance = _huge_durations(tmp_path, {5: 10**308})
+    out_dir = tmp_path / "out"
+    if command == "experiment":
+        config = tmp_path / "exp.conf"
+        config.write_text(f"instances = {instance}\nseeds = 1\nreplicate_count = 500\n")
+        argv = ["experiment", str(config)]
+    else:
+        argv = [command, instance]
+        if command == "update":
+            obs = tmp_path / "obs.txt"
+            obs.write_text("3 5.0 0.5\n")
+            argv.append(str(obs))
+        argv += ["--n", "5000"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    _assert_numerical_failure(code, out, err, out_dir)
+
+
+def test_overflowing_variance_is_numerical_failure(tmp_path, capsys):
+    # finite draws near 1e300 whose squared deviations overflow
+    instance = _huge_durations(tmp_path, {5: 10**300})
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "forecast", instance, "--sigma", "3", "--out", str(out_dir)
+    )
+    _assert_numerical_failure(code, out, err, out_dir)
+
+
+def test_overflowing_makespan_is_numerical_failure(tmp_path, capsys):
+    # two finite durations of 1e308 on one path sum to inf
+    instance = _huge_durations(tmp_path, {2: 10**308, 5: 10**308})
+    code, out, err = run_cli(capsys, "parse", instance)
+    _assert_numerical_failure(code, out, err)
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(args):
         raise OptimizationFailed("objective non-finite everywhere")

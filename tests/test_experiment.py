@@ -11,8 +11,8 @@ import pytest
 import stoched.experiment
 from conftest import diamond, read_fixture
 from stoched.bayes import ObservationRecord, PosteriorState, map_update
-from stoched.durations import is_frozen, priors_from_baselines
-from stoched.errors import ConfigError
+from stoched.durations import LognormalParams, is_frozen, priors_from_baselines
+from stoched.errors import ConfigError, NonFiniteResult
 from stoched.experiment import (
     CSV_HEADER,
     METHODS,
@@ -141,6 +141,15 @@ def test_ground_truth_deterministic_per_seed(j30):
     assert a.t_true == b.t_true
     other = generate_ground_truth(net, _priors(baselines), 5)
     assert not np.array_equal(a.true_durations, other.true_durations)
+
+
+def test_overflowing_ground_truth_draw_is_non_finite_result():
+    # math.exp raises OverflowError past 709.78; the error names the activity
+    net = diamond()
+    priors = _priors([2.0, 3.0, 5.0, 2.0])
+    priors[2] = LognormalParams(mu=1000.0, sigma=0.3)
+    with pytest.raises(NonFiniteResult, match="activity 2"):
+        generate_ground_truth(net, priors, 1)
 
 
 def test_ground_truth_dummies_stay_zero(j30):

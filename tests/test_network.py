@@ -13,6 +13,7 @@ from stoched.errors import (
     DuplicateEdge,
     InvalidEdge,
     LengthMismatch,
+    NonFiniteResult,
     PathBudgetExceeded,
 )
 from stoched.network import (
@@ -186,3 +187,56 @@ def test_cpm_batch_matches_scalar_passes(case):
         assert batch.completion_time[k] == t == path_max(net, d)
         assert batch.earliest_finish[:, k].tolist() == ef
         assert batch.critical_mask[:, k].tolist() == crit
+
+
+def _work_arrays(shape):
+    """Caller-owned es/ef/ls, filled with NaN: a cell the pass failed to
+    write would show in its results."""
+    return {name: np.full(shape, np.nan) for name in ("es", "ef", "ls")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dag_and_durations())
+def test_cpm_batch_caller_owned_work_arrays_change_nothing(case):
+    net, _, columns = case
+    durations = np.array(columns).T
+    fresh = cpm_batch(net, durations)
+    work = _work_arrays(durations.shape)
+    reused = cpm_batch(net, durations, **work)
+    assert reused.earliest_finish is work["ef"]
+    assert reused.completion_time.tobytes() == fresh.completion_time.tobytes()
+    assert reused.earliest_finish.tobytes() == fresh.earliest_finish.tobytes()
+    assert np.array_equal(reused.critical_mask, fresh.critical_mask)
+
+
+@pytest.mark.parametrize("caller_owned", [False, True])
+@pytest.mark.parametrize(
+    "bad, accepted",
+    [
+        (np.nan, False),
+        (np.inf, False),
+        (-np.inf, False),
+        (-1.0, False),
+        (-0.0, True),
+        (None, True),  # an (n, 0) matrix: no replicates, nothing to reject
+    ],
+)
+def test_cpm_batch_validity_verdicts(bad, accepted, caller_owned):
+    net = diamond()
+    durations = np.ones((4, 0)) if bad is None else np.full((4, 3), 2.0)
+    if bad is not None:
+        durations[2, 1] = bad
+    work = _work_arrays(durations.shape) if caller_owned else {}
+    if accepted:
+        batch = cpm_batch(net, durations, **work)
+        assert batch.completion_time.shape == (durations.shape[1],)
+        assert np.all(batch.completion_time == 6.0)  # 2.0 on each of 3 activities
+    else:
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            cpm_batch(net, durations, **work)
+
+
+def test_overflowing_completion_is_non_finite_result():
+    # each duration is finite; their sum along the path is not
+    with pytest.raises(NonFiniteResult, match="overflows"):
+        compute_cpm(build_network(2, [(0, 1)]), [1e308, 1e308])

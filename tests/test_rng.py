@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from conftest import splitmix64_uniform
 from stoched.rng import normals, stream_key, uniforms
@@ -60,3 +61,18 @@ def test_uniforms_leave_counters_unchanged():
     uniforms(stream_key(4, "u"), counters)
     normals(stream_key(4, "u"), counters)
     assert np.array_equal(counters, before)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_normals_into_out_match_fresh_arrays(strided):
+    rng = np.random.default_rng(29)
+    base = rng.integers(0, 2**64, size=(5, 600), dtype=np.uint64, endpoint=False)
+    counters = base[:, ::3] if strided else base[:, :200].copy()
+    assert counters.flags.c_contiguous != strided
+    before = counters.copy()
+    key = stream_key(8, "sim")
+    for draw in (normals, uniforms):
+        out = np.full(counters.shape, np.nan)
+        assert draw(key, counters, out=out) is out
+        assert out.tobytes() == draw(key, counters).tobytes()
+        assert np.array_equal(counters, before)

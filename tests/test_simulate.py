@@ -9,12 +9,15 @@ addresses on the rng stream.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import diamond, path_max, random_dag
-from stoched.durations import FrozenDuration, priors_from_baselines
-from stoched.errors import LengthMismatch
+from stoched import simulate as simulate_module
+from stoched.durations import FrozenDuration, LognormalParams, priors_from_baselines
+from stoched.errors import LengthMismatch, NonFiniteResult
 from stoched.network import build_network, compute_cpm, cpm_batch
 from stoched.psplib import parse_sm, to_network
 from stoched.rng import normals, stream_key
@@ -182,3 +185,58 @@ def test_input_validation():
     good = priors_from_baselines([2.0, 3.0, 5.0, 2.0], 0.3)
     with pytest.raises(ValueError):
         simulate(net, good, SimulationConfig(replicate_count=0, seed=1, target_completion=9.0))
+
+
+def _mixed_models(seed: int):
+    """A random DAG whose models are frozen at a source, a sink and a
+    mid-network activity, and lognormal elsewhere."""
+    rng = np.random.default_rng(seed)
+    net = random_dag(rng, 17)
+    models = priors_from_baselines(rng.integers(1, 9, size=17), 0.4)
+    sink = next(i for i in net.sinks if net.predecessors[i])
+    source = next(i for i in net.sources if net.successors[i])
+    mid = next(i for i in range(17) if net.predecessors[i] and net.successors[i])
+    for i, value in ((source, 3.0), (sink, 0.0), (mid, 2.5)):
+        models[i] = FrozenDuration(value)
+    return net, models
+
+
+def test_reused_buffers_match_a_per_chunk_reference(monkeypatch):
+    net, models = _mixed_models(73)
+    chunk, n_rep = 64, 64 * 12 + 23  # 13 chunks, the last one short
+    samples, counts = [], 0
+    for a in range(0, n_rep, chunk):
+        draws = sample_duration_matrix(net, models, 21, a, min(a + chunk, n_rep))
+        batch = cpm_batch(net, draws)
+        samples.append(batch.completion_time)
+        counts = counts + batch.critical_mask.sum(axis=1)
+    samples = np.concatenate(samples)
+
+    # 17 activities make blocks of 3 rows and a last one of 2
+    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
+    monkeypatch.setattr(simulate_module, "_BLOCK_ROWS", 3)
+    cfg = SimulationConfig(replicate_count=n_rep, seed=21, target_completion=20.0)
+    # Frequent thread switches: two workers taking one chunk index would
+    # leave another chunk's samples unwritten.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            r = simulate(net, models, cfg, workers=workers)
+            assert r.samples.tobytes() == samples.tobytes()
+            assert np.array_equal(r.critical_counts, counts)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_overflowing_draw_raises_non_finite_result():
+    net = build_network(3, [(0, 1), (1, 2)])
+    models = [
+        FrozenDuration(1.0),
+        LognormalParams(mu=709.0, sigma=0.3),  # exp overflows from z ~ 2.6
+        FrozenDuration(0.0),
+    ]
+    cfg = SimulationConfig(replicate_count=5000, seed=4, target_completion=1.0)
+    for workers in (1, 2):
+        with pytest.raises(NonFiniteResult, match="activity 1"):
+            simulate(net, models, cfg, workers=workers)
