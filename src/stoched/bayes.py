@@ -2,26 +2,28 @@
 
 Observations are noisy measurements of a realized duration,
 O = D_true + eps with eps ~ Normal(0, noise_sd). The likelihood of one
-observation under parameters theta marginalizes the unseen duration:
+observation marginalizes the unseen duration over y = ln d:
 
-    P(O | theta) = integral Normal(O; d, noise_sd) * Lognormal(d; theta) dd
+    P(O | theta) = integral Normal(O; e^y, noise_sd) * Normal(y; mu, sigma) dy
 
-which has no closed form; it is evaluated by a fixed deterministic
-trapezoid quadrature in d. The quadrature runs in plain numpy, on many
-(theta, observation) rows in one call: its log-spaced nodes and its
-log-sum-exp reproduce np.geomspace and scipy.special.logsumexp bit for
-bit, without their per-call overhead. The prior over theta is Normal on
-mu and Normal on ln sigma, centered at the state's own params. A MAP
-update maximizes log-likelihood plus log-prior with Nelder-Mead in
-(mu, ln sigma) space and returns a state at the new MAP estimate, so the
-next update's prior is centered there; the consumed observations are
-discarded, and memory per activity stays constant.
+It is evaluated by adaptive Gauss-Hermite quadrature (Liu & Pierce 1994)
+around the integrand's mode, with a half-range rule on each side: below
+the mode scaled to span the prior's shoulder, above it spaced to follow
+the observation factor's cut-off. Where the integrand has a second local
+maximum (possible only if O / noise_sd > 2 sqrt(2) / sigma), a second node
+set sits there and a mixture rule splits the integrand between the two.
+Nodes carry their offset to the mode, so as noise_sd shrinks the result
+tends to log Lognormal(O; theta). It is smooth in theta, and computed row
+by row: no step reduces across observation rows.
 
-map_updates solves the updates of a whole cycle in one lockstep
-Nelder-Mead: each stage of an iteration evaluates the probe points of
-every unfinished problem in one quadrature call. Each problem follows,
-bit for bit, the path that scipy 1.17.1's minimize(method="Nelder-Mead")
-takes on it; the optimizer lives here, and scipy's is not imported.
+The prior over theta is Normal on mu and Normal on ln sigma, centered at
+the state's own params. A MAP update maximizes log-likelihood plus
+log-prior over (mu, ln sigma) and returns a state at the new MAP
+estimate, so the next update's prior is centered there; the consumed
+observations are discarded, and memory per activity stays constant.
+map_updates solves every update of a cycle in one damped Newton
+iteration, one quadrature call per iteration, and falls back to a coarse
+grid search for a problem that does not converge.
 
 Sampling after an update uses Lognormal(theta_MAP) directly (plug-in
 predictive); parameter uncertainty around the MAP point is not
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,38 +44,49 @@ from .errors import MixedActivities, ObservationFormatError, OptimizationFailed
 DEFAULT_TAU_MU = 0.5
 DEFAULT_TAU_LOG_SIGMA = 0.5
 
-# Quadrature node budget: 65 log-spaced nodes covering the lognormal's
-# mu +- 6 sigma span plus 64 linear nodes covering the observation's
-# +- 6 noise_sd window. Two scales because either factor of the
-# integrand can be much narrower than the other.
-_LOG_NODES = 65
-_LIN_NODES = 64
-_ARANGE = np.arange(float(_LOG_NODES))
-_RAMP = np.linspace(0.0, 1.0, _LIN_NODES)
+# The 16-point Gauss rule for integral_0^inf e^(-u^2) f(u) du, the
+# half-range Gauss-Hermite rule (test_bayes derives it by the Stieltjes
+# procedure and Golub-Welsch). Side node k sits at center +- c u_k; its log
+# weight undoes the rule's exp(-u_k^2).
+_HALF_NODES = np.array([
+    0.01975365846007028, 0.1028022452379077, 0.2473976694524491, 0.4466962259616765,
+    0.6930737203019933, 0.9794041703307249, 1.299789321277031, 1.6498542403974288,
+    2.0268081521688623, 2.4294504916021387, 2.858266528543264, 3.3157692750386945,
+    3.807377116755895, 4.3436063454701666, 4.946377204048383, 5.67501793404192,
+])
+_HALF_WEIGHTS = np.array([
+    0.05052463202137848, 0.11360855689414931, 0.16292129231454022, 0.18356280111624768,
+    0.16543863775561207, 0.11657249055350326, 0.061999696099157744, 0.023919709618684108,
+    0.006409914424050282, 0.0011356953106888077, 0.0001252862213295646,
+    7.95049571962269e-06, 2.5900076194151385e-07, 3.6115491397429436e-09,
+    1.5376779161898802e-11, 8.674204452494902e-15,
+])
+_SQUARES = np.tile(_HALF_NODES * _HALF_NODES, 2)  # lower side, then upper
+_LOG_WEIGHTS = np.tile(np.log(_HALF_WEIGHTS), 2) + _SQUARES
+_PROBES = np.array([1.5, 3.0, 6.0, 12.0])  # in curvature scales
+_LOG_RATIO_MAX = 230.0  # cap on ln(O / noise_sd): the noiseless limit
+_MODE_MAXITER = 100
+_MODE_TOL = 1e-7  # in curvature scales
 
-# Box outside which the objective is treated as -inf; keeps exp() from
-# overflowing while Nelder-Mead explores. _LOG_SPAN_MAX bounds the
-# exponents of the quadrature span exp(mu +- 6 sigma) and of the MAP mean
-# exp(mu + sigma^2/2); exp(700) is finite and exp(-700) nonzero.
+# The objective is -inf outside this box; _LOG_SPAN_MAX bounds the
+# exponents of exp(mu +- 6 sigma) and of the MAP mean exp(mu + sigma^2/2).
 _MU_BOUND = 200.0
 _LOG_SIGMA_LO = -30.0
 _LOG_SIGMA_HI = 20.0
 _LOG_SPAN_MAX = 700.0
 
-# Nelder-Mead as scipy's minimize runs it with options maxiter=500,
-# xatol=1e-6 and fatol=1e-8: reflection, expansion, contraction and
-# shrink coefficients 1, 2, 0.5 and 0.5, a first simplex that moves each
-# coordinate by 5% (to 0.00025 from zero), no cap on evaluations.
-_NM_MAXITER = 500
-_NM_XATOL = 1e-6
-_NM_FATOL = 1e-8
+# Newton in (mu, ln sigma) on central differences of step _STENCIL (the
+# last point gives the cross term); a proposed step below _STEP_TOL ends it.
+_NEWTON_MAXITER = 100
+_STENCIL = 1e-4
+_STEP_TOL = 1e-9
+_STENCIL_POINTS = _STENCIL * np.array(
+    [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]]
+)
 
 _GRID_SIZE = 41  # fallback grid is 41 x 41
 
-# Observation rows per quadrature call, unless one point has more: keeps
-# each of its (rows x 129) arrays to a few MB however many points a call
-# evaluates.
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 4096  # observation rows per quadrature call, unless one point has more
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -116,24 +129,189 @@ def _validate_records(obs: Sequence[ObservationRecord]) -> None:
         )
 
 
-class _Terms(NamedTuple):
-    """The quadrature terms that depend on the observations only, one
-    entry per observation row."""
+class _Frame:
+    """Each row's integrand in t = y - y_ref, as h(t) = -z^2/2 - p^2/2 with
+    z = z0 - A expm1(t) the standardized observation residual and
+    p = (t + b) / sigma the prior's. A sharp row (O > noise_sd) takes
+    y_ref = ln O, so z0 = 0 and z is exact for tiny noise; the others take
+    y_ref = mu clipped to [ln noise_sd - 700, ln noise_sd], so A <= 1. Every
+    stationary point of h lies in [lo, hi]: between ln O and mu for O > 0,
+    below mu otherwise."""
 
-    values: np.ndarray
-    noise: np.ndarray
-    hi: np.ndarray  # values + 6 noise: top of the noise window
-    lo: np.ndarray  # values - 6 noise
-    usable: np.ndarray  # the noise window reaches the positive axis
-    log_norm: np.ndarray  # log of the normal density's constant factor
+    def __init__(self, values, noise, mu, sigma) -> None:
+        self.sharp = values > noise
+        positive = values > 0
+        log_values = np.log(np.where(positive, values, 1.0))
+        log_noise = np.log(noise)
+        floor = 2.0 * log_noise - np.log(np.abs(values) + noise)
+        log_noise = np.where(
+            self.sharp, np.maximum(log_noise, log_values - _LOG_RATIO_MAX), log_noise
+        )
+        log_sigma = np.log(sigma)
+        self.ratio = values / np.exp(log_noise)
+        y_ref = np.where(self.sharp, log_values, np.clip(mu, log_noise - 700.0, log_noise))
+        self.log_a = y_ref - log_noise
+        self.a = np.exp(self.log_a)
+        self.z0 = np.where(self.sharp, 0.0, self.ratio - self.a)
+        self.b = y_ref - mu
+        self.sigma = sigma
+        self.prec = 1.0 / (sigma * sigma)
+        self.log_norm = -log_noise - log_sigma - 2.0 * _LOG_SQRT_2PI
+        y_lo = np.minimum(np.minimum(mu - 1.0, log_noise), floor - 2.0 * log_sigma)
+        self.lo = np.where(positive, np.minimum(log_values, mu), y_lo) - y_ref
+        self.hi = np.where(positive, np.maximum(log_values, mu), mu) - y_ref
 
-    @classmethod
-    def of(cls, records: Sequence[ObservationRecord]) -> "_Terms":
-        values = np.array([o.observed_duration for o in records])
-        noise = np.array([o.noise_sd for o in records])
-        hi = values + 6.0 * noise
-        lo = values - 6.0 * noise
-        return cls(values, noise, hi, lo, hi > 0, -np.log(noise) - _LOG_SQRT_2PI)
+    def take(self, rows) -> "_Frame":
+        sub = object.__new__(_Frame)
+        sub.__dict__.update((name, array[rows]) for name, array in vars(self).items())
+        return sub
+
+    def slopes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h'(t) and h''(t)."""
+        ae = self.a * np.exp(t)
+        z = self.z0 - self.a * np.expm1(t)
+        return z * ae - (t + self.b) * self.prec, z * ae - ae * ae - self.prec
+
+
+def _mode(frame: _Frame, lo: np.ndarray, hi: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The root of h' in [lo, hi], on which h' decreases from >= 0 to
+    <= 0, from the start t: Newton steps, and bisection where a step would
+    leave the bracket or not halve the step before it. A row stops once its
+    own step is below _MODE_TOL curvature scales."""
+    t = np.clip(t, lo, hi)
+    lo, hi = lo.copy(), hi.copy()
+    last = hi - lo
+    going = np.ones(t.shape, dtype=bool)
+    for _ in range(_MODE_MAXITER):
+        slope, curvature = frame.slopes(t)
+        up = slope > 0
+        np.copyto(lo, t, where=going & up)
+        np.copyto(hi, t, where=going & ~up)
+        new = t - slope / curvature
+        newton = (new > lo) & (new < hi) & (np.abs(new - t) <= 0.5 * last)
+        new = np.where(slope == 0, t, np.where(newton, new, 0.5 * (lo + hi)))
+        moved = np.abs(new - t)
+        np.copyto(t, new, where=going)
+        np.copyto(last, moved, where=going)
+        going &= moved * np.sqrt(-curvature) > _MODE_TOL
+        if not going.any():
+            break
+    return t
+
+
+class _Center:
+    """The integrand around each row's center t: h(t), the curvature
+    scale (-h''(t))^(-1/2), at most 10 sigma (h'' is 0 where a second
+    maximum appears), and h(t + d) - h(t) for offsets d (rows, k) from
+    the offsets alone, so that no node loses its observation factor to
+    rounding however narrow the integrand is."""
+
+    def __init__(self, frame: _Frame, t: np.ndarray) -> None:
+        self.frame, self.t = frame, t
+        self.ae = frame.a * np.exp(t)
+        self.z = frame.z0 - frame.a * np.expm1(t)
+        self.p = t + frame.b
+        self.h = -0.5 * self.z * self.z - 0.5 * self.p * self.p * frame.prec
+        measured = self.ae * (self.ae - self.z)
+        self.scale = 1.0 / np.sqrt(np.maximum(measured + frame.prec, 0.01 * frame.prec))
+        # the observation factor's share of the curvature
+        self.bend = np.clip(measured / (measured + frame.prec), 0.0, 1.0)
+
+    def stretch(self, x: np.ndarray) -> np.ndarray:
+        """Offsets in y of the upper nodes at x, log1p(bend x) / bend: nodes
+        evenly spaced in x are evenly spaced in y at bend 0, in d at 1."""
+        q = self.bend[:, None] * x
+        return x * np.where(q > 0, np.log1p(q) / q, 1.0)
+
+    def rise(self, d: np.ndarray) -> np.ndarray:
+        dz = -self.ae[:, None] * np.expm1(d)
+        out = -0.5 * dz * (2.0 * self.z[:, None] + dz)
+        out -= d * (self.p[:, None] + 0.5 * d) * self.frame.prec[:, None]
+        return out
+
+
+def _node_sums(at: _Center, lower, upper, other: _Center | None = None) -> np.ndarray:
+    """Log integral of the integrand, with both densities' constants, by
+    half-range rules below and above each row's center, of scales lower
+    and upper. other is a second node set on the same rows: the mixture
+    rule then gives this set the share of the integrand that its Gaussian
+    fit holds of the two."""
+    up = upper[:, None] * _HALF_NODES
+    d = np.concatenate([-lower[:, None] * _HALF_NODES, at.stretch(up)], axis=1)
+    terms = at.rise(d) + _LOG_WEIGHTS
+    terms[:, : _HALF_NODES.size] += np.log(lower)[:, None]
+    terms[:, _HALF_NODES.size :] += np.log(upper)[:, None] - np.log1p(at.bend[:, None] * up)
+    if other is not None:
+        fit = ((at.t - other.t)[:, None] + d) / other.scale[:, None]
+        terms -= np.logaddexp(0.0, (other.h - at.h)[:, None] - 0.5 * fit * fit + _SQUARES)
+    peak = np.max(terms, axis=1)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    total = np.log(np.exp(terms - peak[:, None]).sum(axis=1)) + peak
+    return np.where(at.h == -math.inf, -math.inf, at.h + total + at.frame.log_norm)
+
+
+def _side_scales(at: _Center) -> list[np.ndarray]:
+    """Per side, the widest Gaussian exp(-d^2 / c^2) through the integrand
+    at the _PROBES distances, and at least the curvature scale."""
+    d = at.scale[:, None] * _PROBES
+    return [
+        np.maximum((d / np.sqrt(np.maximum(-at.rise(side), 1e-300))).max(axis=1), at.scale)
+        for side in (-d, at.stretch(d))
+    ]
+
+
+def _quadrature(values, noise, mu, sigma) -> np.ndarray:
+    """Log marginal likelihood of each observation row (values[i],
+    noise[i]) under its own (mu[i], sigma[i])."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        frame = _Frame(values, noise, mu, sigma)
+        lo, hi = frame.lo.copy(), frame.hi.copy()
+        # Where O / noise_sd > 2 sqrt(2) / sigma, h is concave only below t-
+        # and above t+, its inflections, with a local maximum in either part
+        # where h' changes sign there. The mode is the upper one if any.
+        two = np.flatnonzero(frame.ratio * frame.sigma > 2.0 * math.sqrt(2.0))
+        if two.size:
+            sub = frame.take(two)
+            inverse = 8.0 / (sub.ratio * sub.sigma) ** 2
+            split = np.sqrt(1.0 - inverse)
+            shift = np.log(sub.ratio) - sub.log_a
+            t_plus = np.maximum(sub.lo, shift + np.log(0.25 * (1.0 + split)))
+            t_minus = shift + np.log(0.25 * inverse / (1.0 + split))
+            left_hi = np.minimum(sub.hi, t_minus)
+            right = sub.slopes(t_plus)[0] >= 0
+            both = right & (sub.lo < t_minus) & (sub.slopes(left_hi)[0] < 0)
+            lo[two] = np.where(right, t_plus, sub.lo)
+            hi[two] = np.where(right, sub.hi, left_hi)
+            two = two[both]
+            if two.size:
+                other = _mode(sub.take(both), sub.lo[both], left_hi[both], left_hi[both])
+        # A sharp row starts at the mode of h with z linearized at t = 0. The
+        # others start where (O / noise_sd - v) v, v = e^y / noise_sd, meets
+        # the prior's pull at lo: at or above the mode, as the pull weakens.
+        a, ratio, prec = frame.a, frame.ratio, frame.prec
+        linear = (a * frame.z0 - frame.b * prec) / (a * a + prec)
+        pull = -(frame.lo + frame.b) * prec
+        root = np.hypot(ratio, 2.0 * np.sqrt(pull))
+        v = np.where(ratio < 0, 2.0 * pull / (root - ratio), 0.5 * (ratio + root))
+        start = np.where(frame.sharp, linear, np.log(v) - frame.log_a)
+        at = _Center(frame, _mode(frame, lo, hi, np.where(np.isnan(start), hi, start)))
+        out = _node_sums(at, *_side_scales(at))
+        if two.size:
+            sub = frame.take(two)
+            first, second = _Center(sub, at.t[two]), _Center(sub, other)
+            out[two] = np.logaddexp(
+                _node_sums(first, *[math.sqrt(2.0) * first.scale] * 2, second),
+                _node_sums(second, *[math.sqrt(2.0) * second.scale] * 2, first),
+            )
+        return out
+
+
+def _inside_box(mu, log_sigma):
+    """Whether each (mu, ln sigma) lies in the objective's box; NaN does not."""
+    with np.errstate(over="ignore"):
+        span = np.abs(mu) + 6.0 * np.exp(log_sigma)
+    sigma_ok = (log_sigma >= _LOG_SIGMA_LO) & (log_sigma <= _LOG_SIGMA_HI)
+    return (np.abs(mu) <= _MU_BOUND) & sigma_ok & (span <= _LOG_SPAN_MAX)
 
 
 def marginal_log_likelihood(
@@ -143,265 +321,140 @@ def marginal_log_likelihood(
 
     Empty input is 0 (vacuous product). The per-observation integrals are
     summed with exact (correctly rounded) accumulation, so the result is
-    invariant under permutation of the observation list.
+    invariant under permutation of the observation list. Raises
+    ValueError for a theta outside the box the MAP update searches.
     """
     _validate_records(obs)
     if not obs:
         return 0.0
-    rows = _quadrature(_Terms.of(obs), [theta.mu], [theta.sigma], [len(obs)])
+    if not _inside_box(theta.mu, math.log(theta.sigma)):
+        raise ValueError(f"theta {theta} lies outside the likelihood's domain")
+    values = np.array([o.observed_duration for o in obs])
+    noise = np.array([o.noise_sd for o in obs])
+    n = len(obs)
+    rows = _quadrature(values, noise, np.full(n, theta.mu), np.full(n, theta.sigma))
     return math.fsum(rows.tolist())
-
-
-def _quadrature(
-    terms: _Terms, mus: list[float], sigmas: list[float], counts
-) -> np.ndarray:
-    """Log marginal likelihood of each row of terms: the first counts[0]
-    rows under (mus[0], sigmas[0]), the next counts[1] under the second
-    point, and so on."""
-    lo_ln = [math.exp(mu - 6.0 * sigma) for mu, sigma in zip(mus, sigmas)]
-    if 0.0 in lo_ln:
-        raise ValueError("Geometric sequence cannot include zero")
-    hi_ln = [math.exp(mu + 6.0 * sigma) for mu, sigma in zip(mus, sigmas)]
-    log_sigmas = [math.log(sigma) for sigma in sigmas]
-    # One point, as marginal_log_likelihood asks: broadcasting its scalars
-    # saves about a fifth of a call on one to three rows.
-    if len(counts) == 1:
-        mu, sigma, lo_ln, log_sigma = mus[0], sigmas[0], lo_ln[0], log_sigmas[0]
-        log_spaced = _geomspace(lo_ln, hi_ln[0])
-    else:
-        per_point = np.array([mus, sigmas, lo_ln, hi_ln, log_sigmas])[:, :, None]
-        log_spaced = np.repeat(_geomspace(per_point[2], per_point[3]), counts, axis=0)
-        mu, sigma, lo_ln, _, log_sigma = np.repeat(per_point, counts, axis=1)
-        lo_ln = lo_ln[:, 0]
-    values, noise, hi_ob, lo_ob, usable, log_norm = terms
-    m = values.shape[0]
-    # Zero weights (duplicate nodes) and tiny noise sds (z_n^2 overflowing)
-    # both give terms of exactly -inf, which _logsumexp_rows drops.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Linear nodes across each observation's noise window, clipped to
-        # the positive axis. A window entirely at or below zero collapses
-        # onto lo_ln; the resulting duplicate nodes get zero trapezoid
-        # weight.
-        floor = np.minimum(lo_ln, np.where(usable, hi_ob, lo_ln)) * 1e-9
-        start = np.where(usable, np.maximum(lo_ob, floor), lo_ln)
-        stop = np.where(usable, hi_ob, lo_ln)
-
-        # Sorted nodes between copies of the end nodes: a node's trapezoid
-        # weight is half the gap between its two neighbours, and an end
-        # node stands in for its own missing neighbour.
-        padded = np.empty((m, _LOG_NODES + _LIN_NODES + 2))
-        nodes = padded[:, 1:-1]
-        nodes[:, :_LOG_NODES] = log_spaced
-        nodes[:, _LOG_NODES:] = start[:, None] + (stop - start)[:, None] * _RAMP
-        nodes.sort(axis=1)
-        padded[:, 0] = nodes[:, 0]
-        padded[:, -1] = nodes[:, -1]
-        weights = 0.5 * (padded[:, 2:] - padded[:, :-2])
-
-        # log_normal + log_lognormal + log_w, evaluated in place in that
-        # order: log_lognormal = -log_d - log_sigma - C - 0.5 z_ln^2 and
-        # log_normal = log_norm - 0.5 z_n^2.
-        log_d = np.log(nodes)
-        z = log_d - mu
-        z /= sigma
-        total = np.negative(log_d, out=log_d)
-        total -= log_sigma
-        total -= _LOG_SQRT_2PI
-        total -= np.multiply(z, 0.5) * z
-        z = np.subtract(values[:, None], nodes)
-        z /= noise[:, None]
-        log_normal = np.subtract(log_norm[:, None], np.multiply(z, 0.5) * z)
-        total += log_normal
-        total += np.log(weights, out=weights)
-        return _logsumexp_rows(total)
-
-
-def _geomspace(lo, hi) -> np.ndarray:
-    """np.geomspace(lo, hi, _LOG_NODES) for 0 < lo <= hi, or one such row
-    for each row of (k, 1) columns lo and hi, by the same operations in
-    the same order: linspace between the log10 ends, a power of ten, then
-    both ends pinned to lo and hi. Two linspace steps cannot change the
-    result and are left out: pinning its last point (hi overwrites it) and
-    its branch for a step that underflows to 0 (a difference of log10
-    values is then exactly 0, and both branches give l0 everywhere)."""
-    l0 = np.log10(lo)
-    y = _ARANGE * ((np.log10(hi) - l0) / (_LOG_NODES - 1)) + l0
-    out = np.power(10.0, y)
-    out[..., :1] = lo
-    out[..., -1:] = hi
-    return out
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """scipy.special.logsumexp(a, axis=1) for a real C-contiguous 2-D array,
-    by the same operations: each row's maxima are counted and split out of
-    the shifted sum, and a row whose result is not finite falls back to
-    log(sum(exp(row))). Callers ignore divide and invalid warnings."""
-    a_max = a.max(axis=1, keepdims=True)
-    tied = a == a_max
-    m = tied.sum(axis=1, dtype=np.float64)
-    shifted = a - a_max
-    shifted[tied] = -np.inf
-    s = np.exp(shifted, out=shifted).sum(axis=1)
-    s = np.where(s == 0, s, s / m)
-    out = np.log1p(s) + np.log(m) + a_max[:, 0]
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
-    return out
 
 
 def log_prior(theta: LognormalParams, state: PosteriorState) -> float:
     """Normal log-density on mu plus Normal log-density on ln sigma, both
     centered at state.params."""
-    z_mu = (theta.mu - state.params.mu) / state.tau_mu
-    z_ls = (math.log(theta.sigma) - math.log(state.params.sigma)) / state.tau_log_sigma
-    return (
-        -0.5 * z_mu * z_mu
-        - math.log(state.tau_mu)
-        - _LOG_SQRT_2PI
-        - 0.5 * z_ls * z_ls
-        - math.log(state.tau_log_sigma)
-        - _LOG_SQRT_2PI
-    )
+    x = np.array([[theta.mu, math.log(theta.sigma)]])
+    center = np.array([[state.params.mu, math.log(state.params.sigma)]])
+    return float(_log_priors(x, center, np.array([[state.tau_mu, state.tau_log_sigma]]))[0])
+
+
+def _log_priors(x: np.ndarray, centers: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """log_prior of each point x[k] = (mu, ln sigma) under the prior with
+    center centers[k] and taus[k]."""
+    z = (x - centers) / taus
+    norm = np.log(taus).sum(axis=1) + 2.0 * _LOG_SQRT_2PI
+    return -0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2) - norm
 
 
 class _Problems:
     """The MAP objectives of (state, records) pairs, each records batch
-    non-empty, evaluated many points at a time. The observation terms of
-    all pairs are computed once, rows concatenated in pair order."""
+    non-empty, evaluated many points at a time, and the Newton runs'
+    starts: each problem's prior center x0, and for one with two or more
+    positive observations also their log-scale mean and spread (sigma at
+    least the prior's)."""
 
     def __init__(self, pairs: Sequence[tuple[PosteriorState, tuple]]) -> None:
-        self.states = [state for state, _ in pairs]
-        self.x0 = np.array(
-            [[s.params.mu, math.log(s.params.sigma)] for s in self.states]
-        )
+        states = [state for state, _ in pairs]
+        self.x0 = np.array([[s.params.mu, math.log(s.params.sigma)] for s in states])
+        self.taus = np.array([[s.tau_mu, s.tau_log_sigma] for s in states])
+        starts, self.owners = [], []
+        for p, (state, obs) in enumerate(pairs):
+            starts.append(self.x0[p])
+            self.owners.append(p)
+            logs = [math.log(o.observed_duration) for o in obs if o.observed_duration > 0]
+            if len(logs) > 1:
+                mean = math.fsum(logs) / len(logs)
+                spread = math.sqrt(math.fsum((v - mean) ** 2 for v in logs) / len(logs))
+                starts.append([mean, math.log(max(spread, state.params.sigma))])
+                self.owners.append(p)
+        self.starts = np.array(starts)
         self.counts = [len(obs) for _, obs in pairs]
         ends = np.cumsum(self.counts)
         self.rows = [np.arange(end - n, end) for n, end in zip(self.counts, ends)]
-        self.terms = _Terms.of([o for _, obs in pairs for o in obs])
+        records = [(o.observed_duration, o.noise_sd) for _, obs in pairs for o in obs]
+        self.values, self.noise = np.array(records).T
 
     def objectives(self, ids: Sequence[int], x: np.ndarray) -> list[float]:
         """Log-likelihood plus log-prior of problem ids[k] at
         x[k] = (mu, ln sigma), -inf outside the box. The points in the box
         share one quadrature call per _BLOCK_ROWS observation rows."""
-        values = [-math.inf] * len(x)
-        kept, problems, mus, sigmas = [], [], [], []
-        for k, (p, (mu, log_sigma)) in enumerate(zip(ids, x.tolist())):
-            if abs(mu) > _MU_BOUND or not _LOG_SIGMA_LO <= log_sigma <= _LOG_SIGMA_HI:
-                continue
-            sigma = math.exp(log_sigma)
-            if abs(mu) + 6.0 * sigma > _LOG_SPAN_MAX:
-                continue
-            kept.append(k)
-            problems.append(p)
-            mus.append(mu)
-            sigmas.append(sigma)
+        ids = np.asarray(ids, dtype=np.intp)
+        priors = _log_priors(x, self.x0[ids], self.taus[ids]).tolist()
+        kept = np.flatnonzero(_inside_box(x[:, 0], x[:, 1]))
+        problems = ids[kept].tolist()
         counts = [self.counts[p] for p in problems]
         per_row: list[float] = []
         block = max(1, _BLOCK_ROWS // max(self.counts))
         for i in range(0, len(kept), block):
-            rows = np.concatenate([self.rows[p] for p in problems[i : i + block]])
-            terms = _Terms(*(term[rows] for term in self.terms))
-            per_row += _quadrature(
-                terms, mus[i : i + block], sigmas[i : i + block], counts[i : i + block]
-            ).tolist()
+            part = slice(i, i + block)
+            rows = np.concatenate([self.rows[p] for p in problems[part]])
+            mu = np.repeat(x[kept[part], 0], counts[part])
+            sigma = np.exp(np.repeat(x[kept[part], 1], counts[part]))
+            per_row += _quadrature(self.values[rows], self.noise[rows], mu, sigma).tolist()
+        values = [-math.inf] * len(x)
         end = 0
-        for k, p, mu, sigma, count in zip(kept, problems, mus, sigmas, counts):
+        for k, count in zip(kept.tolist(), counts):
             end += count
-            theta = LognormalParams(mu=mu, sigma=sigma)
-            values[k] = math.fsum(per_row[end - count : end]) + log_prior(
-                theta, self.states[p]
-            )
+            values[k] = math.fsum(per_row[end - count : end]) + priors[k]
         return values
 
-    def negated(self, ids: Sequence[int], x: np.ndarray) -> np.ndarray:
-        return -np.array(self.objectives(ids, x))
+
+def _newton_step(f: np.ndarray) -> np.ndarray:
+    """Ascent steps from stencil values f (runs, 6): Newton on the
+    central-difference gradient and Hessian, with Levenberg damping where
+    the negated Hessian is not positive definite, scaled down to at most 1
+    in each coordinate. NaN where a value is not finite."""
+    h2 = _STENCIL * _STENCIL
+    g = np.stack([f[:, 1] - f[:, 2], f[:, 3] - f[:, 4]], axis=1) / (2.0 * _STENCIL)
+    a = (2.0 * f[:, 0] - f[:, 1] - f[:, 2]) / h2  # -H: mu mu, ln sigma ln sigma, cross
+    d = (2.0 * f[:, 0] - f[:, 3] - f[:, 4]) / h2
+    b = (f[:, 1] + f[:, 3] - f[:, 5] - f[:, 0]) / h2
+    lowest = 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)
+    damping = np.where(lowest > 0, 0.0, 1e-3 * (1.0 + np.abs(a + d)) - lowest)
+    a, d = a + damping, d + damping
+    step = np.stack([d * g[:, 0] - b * g[:, 1], a * g[:, 1] - b * g[:, 0]], axis=1)
+    step /= (a * d - b * b)[:, None]
+    return step / np.maximum(1.0, np.abs(step).max(axis=1))[:, None]
 
 
-def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each simplex ordered by its values, as scipy's argsort and take."""
-    ind = np.argsort(fsim, axis=1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, ind], fsim[rows, ind]
-
-
-def _nelder_mead(problems: _Problems) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize the negated objective of every problem from its x0, in
-    lockstep: one evaluation call per stage of an iteration (reflection;
-    expansion or contraction; shrink) covers every problem at that stage.
-    Each problem takes the steps, comparisons and tie order of scipy's
-    Nelder-Mead, so its (x, fun, success) are scipy's to the last bit.
-    Returns the best vertices (P, 2), their values, and whether each
-    problem converged before _NM_MAXITER iterations."""
-    count = len(problems.x0)
-    sim = np.repeat(problems.x0[:, None, :], 3, axis=1)
-    for k in (0, 1):
-        x = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(x != 0, (1 + 0.05) * x, 0.00025)
-    fsim = problems.negated(
-        [p for p in range(count) for _ in range(3)], sim.reshape(-1, 2)
-    ).reshape(count, 3)
-    sim, fsim = _sorted(*_sorted(sim, fsim))  # scipy sorts the first simplex twice
-    # The working arrays hold the unfinished problems, active[i] being row i.
-    active = np.arange(count)
-    x_best, f_min = np.empty((count, 2)), np.empty(count)
-    converged = np.zeros(count, dtype=bool)
-    # A simplex that sees only +inf subtracts inf from inf in its
-    # convergence test; map_updates sends that case to the grid fallback.
-    with np.errstate(invalid="ignore"):
-        for _ in range(1, _NM_MAXITER):
-            done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _NM_XATOL) & (
-                np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _NM_FATOL
-            )
-            if done.any():
-                finished = active[done]
-                converged[finished] = True
-                x_best[finished], f_min[finished] = sim[done, 0], fsim[done].min(axis=1)
-                going = ~done
-                active, sim, fsim = active[going], sim[going], fsim[going]
-                if not active.size:
-                    break
-            ids = active.tolist()
-
-            xbar = np.add.reduce(sim[:, :-1], 1) / 2
-            worst = sim[:, -1]
-            xr = 2 * xbar - worst
-            fxr = problems.negated(ids, xr)
-            expand = fxr < fsim[:, 0]
-            reflect = ~expand & (fxr < fsim[:, -2])
-            outside = ~expand & ~reflect & (fxr < fsim[:, -1])
-            inside = ~expand & ~reflect & ~outside
-            # Expansion, outside contraction or inside contraction point.
-            probe = np.where(
-                expand[:, None],
-                3 * xbar - 2 * worst,
-                np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst),
-            )
-            probed = np.flatnonzero(~reflect)
-            fprobe = np.full(len(ids), np.nan)
-            fprobe[probed] = problems.negated([ids[i] for i in probed], probe[probed])
-            take_probe = (
-                (expand & (fprobe < fxr))
-                | (outside & (fprobe <= fxr))
-                | (inside & (fprobe < fsim[:, -1]))
-            )
-            take_xr = reflect | (expand & ~take_probe)
-            sim[:, -1] = np.where(
-                take_xr[:, None], xr, np.where(take_probe[:, None], probe, worst)
-            )
-            fsim[:, -1] = np.where(take_xr, fxr, np.where(take_probe, fprobe, fsim[:, -1]))
-            shrink = np.flatnonzero((outside | inside) & ~take_probe)
-            if shrink.size:
-                best = sim[shrink, :1]
-                shrunk = best + 0.5 * (sim[shrink, 1:] - best)
-                sim[shrink, 1:] = shrunk
-                fsim[shrink, 1:] = problems.negated(
-                    [ids[i] for i in shrink for _ in range(2)], shrunk.reshape(-1, 2)
-                ).reshape(-1, 2)
-            sim, fsim = _sorted(sim, fsim)
-    x_best[active], f_min[active] = sim[:, 0], fsim.min(axis=1)
-    return x_best, f_min, converged
+def _newton(problems: _Problems) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize the objective of problems.owners[i] from problems.starts[i]
+    for every run i in lockstep, one objective call per iteration over the
+    stencils of the unfinished runs. A trial is accepted when its value
+    does not drop; otherwise its step is halved. A run converges when its
+    next step is below _STEP_TOL; it stops unconverged at a -inf start
+    (its step stays 0) or where its derivatives are not finite. Returns
+    the accepted points (runs, 2), their values, and which converged."""
+    owners = np.array(problems.owners)
+    x, trial = problems.starts.copy(), problems.starts.copy()
+    fx = np.full(len(owners), -math.inf)
+    step = np.zeros_like(x)
+    converged = np.zeros(len(owners), dtype=bool)
+    active = np.arange(len(owners))
+    for _ in range(_NEWTON_MAXITER):
+        points = (trial[active][:, None, :] + _STENCIL_POINTS).reshape(-1, 2)
+        f = problems.objectives(np.repeat(owners[active], 6), points)
+        f = np.array(f).reshape(-1, 6)
+        accept = (f[:, 0] >= fx[active]) & (f[:, 0] > -math.inf)
+        taken = active[accept]
+        x[taken], fx[taken] = trial[taken], f[accept, 0]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step[taken] = _newton_step(f[accept])
+        step[active[~accept]] *= 0.5
+        size = np.abs(step[active]).max(axis=1)
+        done = size < _STEP_TOL
+        converged[active[done & (fx[active] > -math.inf)]] = True
+        active = active[~(done | ~np.isfinite(size))]
+        if not active.size:
+            break
+        trial[active] = x[active] + step[active]
+    return x, fx, converged
 
 
 def map_updates(
@@ -409,8 +462,8 @@ def map_updates(
 ) -> list[PosteriorState]:
     """map_update(state, records) of each pair, in pair order.
 
-    The pairs with records are solved together in one lockstep
-    Nelder-Mead; then each result is checked in pair order, so the first
+    The pairs with records are solved together in one lockstep Newton
+    iteration; then each result is checked in pair order, so the first
     pair that fails raises.
     """
     pairs = [(state, tuple(obs)) for state, obs in pairs]
@@ -423,12 +476,17 @@ def map_updates(
 
 def _solve(pairs: list[tuple[PosteriorState, tuple]]) -> list[PosteriorState]:
     problems = _Problems(pairs)
-    xs, funs, converged = _nelder_mead(problems)
+    xs, values, converged = _newton(problems)
+    runs: dict[int, list[int]] = {}
+    for i, owner in enumerate(problems.owners):
+        runs.setdefault(owner, []).append(i)
     out = []
     for p, (state, obs) in enumerate(pairs):
-        best_mu, best_log_sigma = float(xs[p, 0]), float(xs[p, 1])
-        best_value = -float(funs[p])
-        if not (converged[p] and math.isfinite(best_value)):
+        # the best run, converged runs first, the earlier start on ties
+        best = max(runs[p], key=lambda i: (converged[i], values[i], -i))
+        best_mu, best_log_sigma = float(xs[best, 0]), float(xs[best, 1])
+        best_value = float(values[best])
+        if not (converged[best] and math.isfinite(best_value)):
             grid_mu, grid_log_sigma, grid_value = _grid_argmax(problems, p)
             if not math.isfinite(best_value) or grid_value > best_value:
                 best_mu, best_log_sigma, best_value = grid_mu, grid_log_sigma, grid_value
@@ -441,17 +499,9 @@ def _solve(pairs: list[tuple[PosteriorState, tuple]]) -> list[PosteriorState]:
                 f"MAP estimate mu={best_mu:.6g}, sigma={math.exp(best_log_sigma):.6g} "
                 "has a mean duration too large to represent"
             )
-        params = LognormalParams(
-            mu=best_mu, sigma=max(math.exp(best_log_sigma), SIGMA_MIN)
-        )
-        out.append(
-            PosteriorState(
-                params,
-                state.observation_count + len(obs),
-                state.tau_mu,
-                state.tau_log_sigma,
-            )
-        )
+        params = LognormalParams(best_mu, max(math.exp(best_log_sigma), SIGMA_MIN))
+        count = state.observation_count + len(obs)
+        out.append(PosteriorState(params, count, state.tau_mu, state.tau_log_sigma))
     return out
 
 
@@ -464,8 +514,8 @@ def map_update(
     new state keeps the taus, so its prior is centered at the new params,
     and the consumed observations are discarded. An empty batch returns
     the state unchanged: the prior's argmax is its own center.
-    A Nelder-Mead result that is non-finite or did not converge is
-    checked against a coarse grid search, and the better point is kept.
+    A Newton result that did not converge is checked against a coarse
+    grid search, and the better point is kept.
     Raises OptimizationFailed when the objective is non-finite everywhere
     or the MAP mean duration exp(mu + sigma^2/2) would overflow.
     """

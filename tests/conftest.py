@@ -1,7 +1,6 @@
 """Shared test helpers: fixture loading, small networks, random DAGs,
-the lognormal log-density oracle, a pure-Python splitmix64 uniform, a
-frozen copy of the library-built MAP quadrature and a frozen copy of the
-MAP update that ran scipy's Nelder-Mead."""
+the lognormal log-density oracle, a pure-Python splitmix64 uniform, and
+scipy's Nelder-Mead and a loop-based grid search on the MAP objective."""
 
 from __future__ import annotations
 
@@ -11,12 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from stoched import bayes
 from stoched.bayes import PosteriorState, log_prior, marginal_log_likelihood
-from stoched.durations import SIGMA_MIN, LognormalParams
-from stoched.errors import OptimizationFailed
+from stoched.durations import LognormalParams
 from stoched.network import ProjectNetwork, build_network, enumerate_paths
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -99,42 +96,6 @@ def splitmix64_uniform(key: int, counter: int) -> float:
     return ((bits >> 11) + 0.5) * 2.0**-53
 
 
-def reference_quadrature(
-    theta: LognormalParams, values: np.ndarray, noise: np.ndarray
-) -> np.ndarray:
-    """Per-observation log marginal likelihoods built from np.geomspace,
-    np.linspace, np.concatenate and scipy's logsumexp: the quadrature as
-    it stood before it was rewritten in plain numpy, kept to pin that
-    rewrite to the same bits."""
-    mu, sigma = theta.mu, theta.sigma
-    lo_ln = math.exp(mu - 6.0 * sigma)
-    hi_ln = math.exp(mu + 6.0 * sigma)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_log = np.geomspace(lo_ln, hi_ln, 65)
-        hi_ob = values + 6.0 * noise
-        lo_ob = values - 6.0 * noise
-        usable = hi_ob > 0
-        floor = np.minimum(lo_ln, np.where(usable, hi_ob, lo_ln)) * 1e-9
-        start = np.where(usable, np.maximum(lo_ob, floor), lo_ln)
-        stop = np.where(usable, hi_ob, lo_ln)
-        ramp = np.linspace(0.0, 1.0, 64)
-        d_lin = start[:, None] + (stop - start)[:, None] * ramp[None, :]
-        m = values.shape[0]
-        nodes = np.concatenate([np.broadcast_to(d_log, (m, 65)), d_lin], axis=1)
-        nodes = np.sort(nodes, axis=1)
-        weights = np.empty_like(nodes)
-        weights[:, 1:-1] = 0.5 * (nodes[:, 2:] - nodes[:, :-2])
-        weights[:, 0] = 0.5 * (nodes[:, 1] - nodes[:, 0])
-        weights[:, -1] = 0.5 * (nodes[:, -1] - nodes[:, -2])
-        log_d = np.log(nodes)
-        z_ln = (log_d - mu) / sigma
-        log_lognormal = -log_d - math.log(sigma) - _LOG_SQRT_2PI - 0.5 * z_ln * z_ln
-        log_w = np.log(weights)
-        z_n = (values[:, None] - nodes) / noise[:, None]
-        log_normal = -np.log(noise)[:, None] - _LOG_SQRT_2PI - 0.5 * z_n * z_n
-        return logsumexp(log_normal + log_lognormal + log_w, axis=1)
-
-
 def _reference_objective(mu, log_sigma, obs, state):
     if abs(mu) > bayes._MU_BOUND or not bayes._LOG_SIGMA_LO <= log_sigma <= bayes._LOG_SIGMA_HI:
         return -math.inf
@@ -146,7 +107,8 @@ def _reference_objective(mu, log_sigma, obs, state):
 
 def reference_nelder_mead(state: PosteriorState, obs):
     """scipy's Nelder-Mead on the negated MAP objective, from the state's
-    params, with the options the MAP update used."""
+    params, with the options the MAP update used before it took Newton
+    steps: the independent optimizer that Newton must match or beat."""
 
     def negated(x: np.ndarray) -> float:
         return -_reference_objective(float(x[0]), float(x[1]), obs, state)
@@ -161,45 +123,6 @@ def reference_nelder_mead(state: PosteriorState, obs):
             method="Nelder-Mead",
             options={"maxiter": 500, "xatol": 1e-6, "fatol": 1e-8},
         )
-
-
-def reference_map_update(state: PosteriorState, new_obs) -> PosteriorState:
-    """The MAP update as it stood when it called
-    scipy.optimize.minimize(method="Nelder-Mead") one problem at a time:
-    the oracle that the lockstep solver must match bit for bit."""
-    obs = tuple(new_obs)
-    bayes._validate_records(obs)
-    if not obs:
-        return state
-
-    x0 = np.array([state.params.mu, math.log(state.params.sigma)])
-    result = reference_nelder_mead(state, obs)
-    best_mu, best_log_sigma = float(result.x[0]), float(result.x[1])
-    best_value = -float(result.fun)
-
-    if not (result.success and math.isfinite(best_value)):
-        grid_mu, grid_log_sigma, grid_value = reference_grid_argmax(x0, obs, state)
-        if not math.isfinite(best_value) or grid_value > best_value:
-            best_mu, best_log_sigma, best_value = grid_mu, grid_log_sigma, grid_value
-        if not math.isfinite(best_value):
-            raise OptimizationFailed(
-                "MAP objective is non-finite at every probe point"
-            )
-    if best_mu + 0.5 * math.exp(2.0 * best_log_sigma) > bayes._LOG_SPAN_MAX:
-        raise OptimizationFailed(
-            f"MAP estimate mu={best_mu:.6g}, sigma={math.exp(best_log_sigma):.6g} "
-            "has a mean duration too large to represent"
-        )
-
-    params = LognormalParams(
-        mu=best_mu, sigma=max(math.exp(best_log_sigma), SIGMA_MIN)
-    )
-    return PosteriorState(
-        params,
-        state.observation_count + len(obs),
-        state.tau_mu,
-        state.tau_log_sigma,
-    )
 
 
 def reference_grid_argmax(x0, obs, state, objective=_reference_objective):

@@ -320,6 +320,25 @@ def test_update_tiny_noise_sd_runs_without_warnings(tmp_path, capsys):
     assert all(math.isfinite(d) for d in payload["posterior_expected_durations"])
 
 
+def test_update_tiny_noise_matches_small_noise(tmp_path, capsys):
+    # A measurement far more precise than the prior's spread has the
+    # noiseless limit as its likelihood, so noise_sd 1e-12 moves the
+    # forecast as 1e-6 and 0.01 do.
+    results = []
+    for noise_sd in ("1e-12", "1e-6", "0.01"):
+        obs = tmp_path / f"obs_{noise_sd}.txt"
+        obs.write_text(f"4 6.0 {noise_sd}\n")
+        payload = stdout_json(
+            capsys, "update", J30, str(obs), "--n", "10000", "--seed", "3"
+        )
+        results.append(
+            (payload["posterior_expected_durations"][4], payload["expected_completion"])
+        )
+    for mean, completion in results[1:]:
+        assert f"{mean:.4g}" == f"{results[0][0]:.4g}"
+        assert f"{completion:.4g}" == f"{results[0][1]:.4g}"
+
+
 # ---------------------------------------------------------------- experiment
 
 
