@@ -22,7 +22,11 @@ scored, so full_framework simulates once, after the last cycle. A
 Scenario also memoizes its MAP updates and forecasts, so each distinct
 one is computed once for all of its cells: static_mc and
 full_framework/none share the prior forecast, and bayes_no_propagation
-and full_framework share the updates.
+and full_framework share the updates. run_matrix computes a scenario's
+distinct sampled forecasts (the priors' and each strategy's final
+posterior's) in one simulate_many call, so they share one draw pass:
+the same normals, hashed once, as common random numbers. Each forecast
+past the first costs one more duration matrix per worker.
 
 Known limitation: while each activity has a single observation, periodic
 and continuous reach the same posterior, so their rows are equal; the
@@ -52,11 +56,11 @@ from .durations import (
     is_frozen,
     priors_from_baselines,
 )
-from .errors import ConfigError, NonFiniteResult
+from .errors import ConfigError, NonFiniteResult, NumericalError
 from .metrics import mae, rmse
 from .network import ProjectNetwork, compute_cpm
 from .rng import normals, stream_key
-from .simulate import ForecastResult, SimulationConfig, simulate
+from .simulate import ForecastResult, SimulationConfig, simulate, simulate_many
 
 UNCERTAINTY_SIGMA = {"low": 0.1, "moderate": 0.3, "high": 0.5}
 OBS_NOISE_FRACTION = {"low": 0.05, "moderate": 0.10, "high": 0.20}
@@ -355,18 +359,43 @@ def _forecast(
 ) -> ForecastResult:
     def compute() -> ForecastResult:
         cfg = replace(scenario.sim_cfg, replicate_count=replicates)
-        result = simulate(scenario.net, models, cfg, workers)
-        # Cells share this result: read-only arrays keep one cell's
-        # on_result callback from changing another cell's row.
-        for array in (
-            result.samples,
-            result.critical_probability,
-            result.critical_counts,
-        ):
-            array.setflags(write=False)
-        return result
+        return _shared(simulate(scenario.net, models, cfg, workers))
 
     return _cached(scenario.memo, (tuple(models), replicates), compute)
+
+
+def _shared(result: ForecastResult) -> ForecastResult:
+    """Cells share a forecast: read-only arrays keep one cell's on_result
+    callback from changing another cell's row."""
+    for array in (result.samples, result.critical_probability, result.critical_counts):
+        array.setflags(write=False)
+    return result
+
+
+def _sampled_forecasts(
+    scenario: Scenario, strategies: Sequence[str], methods: Sequence[str], workers: int
+) -> None:
+    """Store in memo the distinct sampled forecasts that the cells of
+    these strategies and methods score: the priors' (static_mc) and each
+    strategy's final posterior's (full_framework), from one simulate_many
+    call. A posterior or a call that fails stores nothing: the cells that
+    need it compute it on their own, so the failure surfaces at the first
+    of them, as if every cell computed alone."""
+    model_sets = [scenario.priors] if "static_mc" in methods else []
+    for strategy in strategies if "full_framework" in methods else ():
+        try:
+            model_sets.append(_posterior(scenario, strategy))
+        except NumericalError:
+            pass
+    replicates = scenario.sim_cfg.replicate_count
+    distinct = {(tuple(models), replicates): models for models in model_sets}
+    try:
+        forecasts = simulate_many(
+            scenario.net, list(distinct.values()), scenario.sim_cfg, workers
+        )
+    except NumericalError:
+        return
+    scenario.memo.update(zip(distinct, map(_shared, forecasts)))
 
 
 def run_method(
@@ -418,7 +447,8 @@ def run_matrix(
     so callers can stream per-cell payloads (histograms). The scenarios
     of one (instance, uncertainty) are built once and live until the loop
     moves to the next uncertainty, and with them every distinct forecast
-    they memoize.
+    they memoize. Each scenario computes its sampled forecasts in one
+    draw pass before its first cell.
     """
     rows = []
     for name, net, baselines in grid.instances:
@@ -435,6 +465,8 @@ def run_matrix(
                 )
                 for seed in grid.seeds
             ]
+            for scenario in scenarios:
+                _sampled_forecasts(scenario, grid.strategies, grid.methods, workers)
             for strategy in grid.strategies:
                 for method in grid.methods:
                     for scenario in scenarios:

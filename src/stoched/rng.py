@@ -9,8 +9,9 @@ chunked or how many threads consume a stream.
 
 The mixer is the splitmix64 finalizer applied twice: once to decorrelate
 the raw counter, once after keying. Uniforms are built from the top 53
-bits plus a half-ulp offset so they lie strictly inside (0, 1); normals
-go through the inverse normal CDF.
+bits plus a half-ulp offset, with the one value that would round to 1
+taken to the largest double below 1, so they lie strictly inside (0, 1)
+and normals, which go through the inverse normal CDF, are finite.
 
 Every step runs in place. Given an ``out`` array, uniforms and normals
 hash in its bytes with a uint64 scratch that each thread allocates once
@@ -33,6 +34,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 
 def _finalize(x: np.ndarray, scratch: np.ndarray) -> None:
@@ -100,6 +102,11 @@ def uniforms(key: int, counters, out: np.ndarray | None = None) -> np.ndarray:
     # the top 53 bits convert to float64 exactly
     np.add(scratch, 0.5, out=out)
     out *= _U53
+    # All 53 bits set give 1: 2**53 - 0.5 rounds to 2**53 (ties to even).
+    # Every other value is below _BELOW_ONE, and a read-only check costs
+    # less than the clamp.
+    if out.size and out.max() == 1.0:
+        np.minimum(out, _BELOW_ONE, out=out)
     return out
 
 

@@ -90,10 +90,11 @@ def _splitmix64_finalize(x: int) -> int:
 def splitmix64_uniform(key: int, counter: int) -> float:
     """The uniform at one counter of a stream, in Python integers: the
     finalizer applied to the golden-ratio-offset counter, then again after
-    keying; the top 53 bits plus a half ulp, scaled into (0, 1)."""
+    keying; the top 53 bits plus a half ulp, scaled into (0, 1). All 53
+    bits set would round to 1 and give the largest double below 1."""
     x = _splitmix64_finalize((counter + 0x9E3779B97F4A7C15) & _MASK64)
     bits = _splitmix64_finalize(x ^ key)
-    return ((bits >> 11) + 0.5) * 2.0**-53
+    return min(((bits >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 def _reference_objective(mu, log_sigma, obs, state):

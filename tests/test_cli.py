@@ -179,21 +179,24 @@ def test_experiment_failing_part_way_leaves_no_result_files(tmp_path, capsys, mo
     simulate = stoched.experiment.simulate
     calls = []
 
-    # Calls 1-6 are the none-strategy cells of both seeds, two of which
-    # emit histograms; call 7 is the first continuous-strategy cell.
-    def fails_on_seventh_call(*args, **kwargs):
+    # Each seed's sampled forecasts come from one draw pass before its
+    # cells, so simulate makes only the point forecasts: calls 1-4 are
+    # those of the none-strategy cells of both seeds, whose
+    # full_framework cells emit histograms, and call 5 is the first
+    # continuous-strategy cell.
+    def fails_on_fifth_call(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 7:
+        if len(calls) == 5:
             raise OptimizationFailed("injected failure")
         return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(stoched.experiment, "simulate", fails_on_seventh_call)
+    monkeypatch.setattr(stoched.experiment, "simulate", fails_on_fifth_call)
     out = tmp_path / "results"
     code, stdout, err = run_cli(capsys, *_out_argv(tmp_path, "experiment", out))
     assert code == EXIT_NUMERIC
     assert stdout == ""
     assert err.startswith("error:") and "injected failure" in err
-    assert len(calls) == 7
+    assert len(calls) == 5
     assert list(out.iterdir()) == []
 
 

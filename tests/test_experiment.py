@@ -477,20 +477,29 @@ def shared_grid(j30):
 def shared_matrix(shared_grid):
     """run_matrix on j30 with calls counted per (uncertainty, seed).
 
-    A scenario's truth and observations are built before its first cell;
-    every other call belongs to the cell that on_result reports next."""
+    A scenario's truth and observations are built, and its sampled
+    forecasts computed, before its first cell; every other call belongs
+    to the cell that on_result reports next."""
     cells = []
     per_seed: dict[tuple[str, int], dict] = {}
     with pytest.MonkeyPatch.context() as mp:
         counts = _count_calls(mp)
-        counts["sampled_simulate"] = 0
+        counts.update(sampled_simulate=0, draw_passes=0, sampled_forecasts=0)
         simulate = stoched.experiment.simulate
+        simulate_many = stoched.experiment.simulate_many
+        sampled_forecasts = stoched.experiment._sampled_forecasts
 
         def count_sampled(net, models, cfg, workers=1):
             counts["sampled_simulate"] += cfg.replicate_count > 1
             return simulate(net, models, cfg, workers)
 
+        def count_draw_passes(net, model_sets, cfg, workers=1):
+            counts["draw_passes"] += 1
+            counts["sampled_forecasts"] += len(model_sets)
+            return simulate_many(net, model_sets, cfg, workers)
+
         mp.setattr(stoched.experiment, "simulate", count_sampled)
+        mp.setattr(stoched.experiment, "simulate_many", count_draw_passes)
         seen = dict(counts)
 
         def charge(key):
@@ -509,6 +518,12 @@ def shared_matrix(shared_grid):
             return scenario
 
         mp.setattr(stoched.experiment, "make_scenario", counted_scenario)
+
+        def counted_sampled_forecasts(scenario, *args):
+            sampled_forecasts(scenario, *args)
+            charge((scenario.uncertainty, scenario.seed))
+
+        mp.setattr(stoched.experiment, "_sampled_forecasts", counted_sampled_forecasts)
 
         rows = run_matrix(shared_grid, on_result=on_result)
     return rows, cells, per_seed
@@ -545,13 +560,16 @@ def test_run_matrix_computes_each_seed_once(j30, shared_grid, shared_matrix):
         (u, s) for u in sorted(shared_grid.uncertainties) for s in SHARED_SEEDS
     ]
     for tally in per_seed.values():
-        # one prior forecast (static_mc, full_framework/none) and one
-        # posterior forecast (periodic and continuous agree)
-        assert tally["sampled_simulate"] == 2
-        # plus one-replicate point forecasts: the baselines, the prior
-        # means (15 of j30's differ from their baseline in the last bit)
-        # and the updated posterior means
-        assert tally["simulate"] == 2 + 3
+        # one draw pass for the prior forecast (static_mc,
+        # full_framework/none) and one posterior forecast (periodic and
+        # continuous agree), and no sampled forecast on its own
+        assert tally["draw_passes"] == 1
+        assert tally["sampled_forecasts"] == 2
+        assert tally["sampled_simulate"] == 0
+        # so simulate makes only the one-replicate point forecasts: the
+        # baselines, the prior means (15 of j30's differ from their
+        # baseline in the last bit) and the updated posterior means
+        assert tally["simulate"] == 3
         assert tally["map_updates"] == observed
         # one realization and one set of observations for all 12 cells
         assert tally["generate_ground_truth"] == 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import splitmix64_uniform
+from conftest import _splitmix64_finalize, splitmix64_uniform
 from stoched.rng import normals, stream_key, uniforms
 
 
@@ -53,6 +53,50 @@ def test_uniforms_match_pure_python_splitmix64():
     for key in (0, stream_key(9, "sim"), 2**64 - 1):
         expected = [splitmix64_uniform(key, int(c)) for c in counters]
         assert uniforms(key, counters).tolist() == expected
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unfinalize(x: int) -> int:
+    """The splitmix64 finalizer's inverse, in Python integers."""
+    x = _unxorshift(x, 31)
+    x = (x * pow(0x94D049BB133111EB, -1, 2**64)) % 2**64
+    x = _unxorshift(x, 27)
+    x = (x * pow(0xBF58476D1CE4E5B9, -1, 2**64)) % 2**64
+    return _unxorshift(x, 30)
+
+
+def test_all_53_bits_set_give_the_largest_uniform_below_one():
+    key = stream_key(9, "sim")
+    bits = 2**64 - 1
+    counter = (_unfinalize(_unfinalize(bits) ^ key) - 0x9E3779B97F4A7C15) % 2**64
+    x = _splitmix64_finalize((counter + 0x9E3779B97F4A7C15) % 2**64)
+    assert _splitmix64_finalize(x ^ key) == bits
+    # the old ((bits >> 11) + 0.5) * 2**-53 rounds to exactly 1 there
+    assert ((bits >> 11) + 0.5) * 2.0**-53 == 1.0
+    block = np.arange(16 * 4096, dtype=np.uint64)
+    block[5000] = counter
+    u = uniforms(key, block)
+    assert u[5000] == np.nextafter(1.0, 0.0)
+    assert np.all((u > 0.0) & (u < 1.0))
+    for z in (normals(key, block), normals(key, block, out=np.empty(block.shape))):
+        assert np.isfinite(z).all()
+        assert z[5000] == normals(key, [counter])[0] > 8.0
+    # every other counter keeps the old formula's bits
+    rng = np.random.default_rng(31)
+    sample = rng.integers(0, 2**64, size=2000, dtype=np.uint64, endpoint=False)
+    old = []
+    for c in sample.tolist():
+        x = _splitmix64_finalize((c + 0x9E3779B97F4A7C15) % 2**64)
+        old.append(((_splitmix64_finalize(x ^ key) >> 11) + 0.5) * 2.0**-53)
+    assert uniforms(key, sample).tobytes() == np.array(old).tobytes()
+    # and so does the rest of a block that the clamp touched
+    assert uniforms(key, np.delete(block, 5000)).tobytes() == np.delete(u, 5000).tobytes()
 
 
 def test_uniforms_leave_counters_unchanged():

@@ -4,12 +4,14 @@ The per-replicate completion values are cross-checked against an
 independent route: the duration draws of sample_duration_matrix, the
 function simulate() draws through, pushed through explicit path
 enumeration. The draws themselves are checked against their counter
-addresses on the rng stream.
+addresses on the rng stream, and simulate_many's joint draw pass against
+one simulate call per model set.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,10 +25,12 @@ from stoched.psplib import parse_sm, to_network
 from stoched.rng import normals, stream_key
 from stoched.simulate import (
     QUANTILE_LEVELS,
+    ForecastResult,
     SimulationConfig,
     delay_probability_from,
     sample_duration_matrix,
     simulate,
+    simulate_many,
 )
 from conftest import read_fixture
 
@@ -240,3 +244,117 @@ def test_overflowing_draw_raises_non_finite_result():
     for workers in (1, 2):
         with pytest.raises(NonFiniteResult, match="activity 1"):
             simulate(net, models, cfg, workers=workers)
+
+
+def _assert_same_forecast(a: ForecastResult, b: ForecastResult) -> None:
+    for name in ForecastResult.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        else:
+            assert x == y, name
+
+
+def test_simulate_many_equals_one_simulate_per_set(monkeypatch):
+    net, mixed = _mixed_models(79)
+    other = priors_from_baselines(np.random.default_rng(80).integers(1, 9, size=17), 0.25)
+    # with blocks of 3 rows: activities 6-8 are frozen in the first set
+    # only, 3-5 in the second only, and the third set draws nothing
+    first = [FrozenDuration(1.5) if i in (6, 7, 8) else m for i, m in enumerate(mixed)]
+    second = [FrozenDuration(2.0) if i in (3, 4, 5) else m for i, m in enumerate(other)]
+    frozen = [FrozenDuration(float(i % 4)) for i in range(17)]
+    model_sets = [first, second, frozen, mixed, first]
+    monkeypatch.setattr(simulate_module, "_CHUNK", 64)
+    monkeypatch.setattr(simulate_module, "_BLOCK_ROWS", 3)
+    cfg = SimulationConfig(replicate_count=64 * 5 + 9, seed=33, target_completion=18.0)
+    alone = [simulate(net, models, cfg) for models in model_sets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            joint = simulate_many(net, model_sets, cfg, workers=workers)
+            assert len(joint) == len(model_sets)
+            for a, b in zip(joint, alone):
+                _assert_same_forecast(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+    assert simulate_many(net, [], cfg) == []
+
+
+def test_simulate_many_overflow_in_a_later_set_names_its_activity():
+    net = build_network(3, [(0, 1), (1, 2)])
+    fine = priors_from_baselines([2.0, 3.0, 4.0], 0.3)
+    overflowing = [
+        FrozenDuration(1.0),
+        FrozenDuration(2.0),
+        LognormalParams(mu=709.0, sigma=0.3),  # exp overflows from z ~ 2.6
+    ]
+    cfg = SimulationConfig(replicate_count=5000, seed=4, target_completion=1.0)
+    for workers in (1, 2):
+        with pytest.raises(NonFiniteResult, match="activity 2"):
+            simulate_many(net, [fine, overflowing], cfg, workers=workers)
+
+
+def _overflowing_at_top_draws(activities, monkeypatch, on_draw):
+    """A diamond whose given branch activities each overflow only at
+    their largest draw over 8 chunks of 64 replicates, run through a
+    normals wrapper that calls on_draw(chunk index) first; the config and
+    the chunk of each activity's overflow."""
+    net = diamond()
+    chunk, n_rep, seed = 64, 64 * 8, 4
+    z = normals(stream_key(seed, "sim"), np.arange(n_rep * 4)).reshape(n_rep, 4)
+    models = priors_from_baselines([1.0, 2.0, 2.0, 0.0], 0.3)
+    overflow_chunk = {}
+    for i in activities:
+        top, runner_up = np.sort(z[:, i])[[-1, -2]]
+        # exp(mu + z) overflows where mu + z > ln(DBL_MAX) = 709.78...
+        models[i] = LognormalParams(mu=709.782712893384 - (top + runner_up) / 2, sigma=1.0)
+        overflow_chunk[i] = int(np.argmax(z[:, i])) // chunk
+
+    def wrapped(key, counters, out=None):
+        on_draw(int(counters.flat[0]) // (4 * chunk))
+        return normals(key, counters, out)
+
+    monkeypatch.setattr(simulate_module, "normals", wrapped)
+    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
+    cfg = SimulationConfig(replicate_count=n_rep, seed=seed, target_completion=1.0)
+    return net, models, cfg, overflow_chunk
+
+
+def test_first_failure_is_the_lowest_chunks_at_any_worker_count(monkeypatch):
+    # Activity 2 overflows in an earlier chunk than activity 1, and that
+    # chunk draws slowly, so with more than one worker activity 1's chunk
+    # fails first.
+    def slow_in_activity_2s_chunk(index):
+        if index == overflow_chunk[2]:
+            time.sleep(0.05)
+
+    net, models, cfg, overflow_chunk = _overflowing_at_top_draws(
+        (1, 2), monkeypatch, slow_in_activity_2s_chunk
+    )
+    assert overflow_chunk[2] < overflow_chunk[1]
+    for workers in (1, 2, 3):
+        with pytest.raises(NonFiniteResult, match="^activity 2: "):
+            simulate(net, models, cfg, workers=workers)
+
+
+def test_no_chunk_is_taken_after_a_failure(monkeypatch):
+    # Every chunk but the failing one draws slowly, so the failure is
+    # recorded while the other workers are still drawing.
+    drawn = set()
+
+    def slow_but_in_the_failing_chunk(index):
+        drawn.add(index)
+        if index != overflow_chunk[2]:
+            time.sleep(0.02)
+
+    net, models, cfg, overflow_chunk = _overflowing_at_top_draws(
+        (2,), monkeypatch, slow_but_in_the_failing_chunk
+    )
+    for workers in (1, 2, 3):
+        drawn.clear()
+        with pytest.raises(NonFiniteResult, match="^activity 2: "):
+            simulate(net, models, cfg, workers=workers)
+        # each other worker finishes at most the chunk it holds, and may
+        # have taken one more before the failure was recorded
+        assert max(drawn) < overflow_chunk[2] + workers
