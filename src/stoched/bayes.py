@@ -1,10 +1,16 @@
 """Recursive MAP updating of lognormal duration parameters.
 
-Observations are noisy measurements of a realized duration,
-O = D_true + eps with eps ~ Normal(0, noise_sd). The likelihood of one
-observation marginalizes the unseen duration over y = ln d:
+Observations are noisy measurements of an activity's one realized
+duration D, O_j = D + eps_j with eps_j ~ Normal(0, s_j). Under Gaussian
+noise an activity's records multiply to one record's likelihood,
 
-    P(O | theta) = integral Normal(O; e^y, noise_sd) * Normal(y; mu, sigma) dy
+    prod_j Normal(O_j; d, s_j) = C * Normal(O_bar; d, s_bar),
+
+with O_bar their precision-weighted mean, s_bar = (sum_j s_j^-2)^(-1/2)
+and C free of d and theta. The likelihood of that combined record
+marginalizes the unseen duration over y = ln d:
+
+    P(O_bar | theta) = integral Normal(O_bar; e^y, s_bar) * Normal(y; mu, sigma) dy
 
 It is evaluated by adaptive Gauss-Hermite quadrature (Liu & Pierce 1994)
 around the integrand's mode, with a half-range rule on each side: below
@@ -14,16 +20,15 @@ maximum (possible only if O / noise_sd > 2 sqrt(2) / sigma), a second node
 set sits there and a mixture rule splits the integrand between the two.
 Nodes carry their offset to the mode, so as noise_sd shrinks the result
 tends to log Lognormal(O; theta). It is smooth in theta, and computed row
-by row: no step reduces across observation rows.
+by row: no step reduces across rows.
 
 The prior over theta is Normal on mu and Normal on ln sigma, centered at
-the state's own params. A MAP update maximizes log-likelihood plus
-log-prior over (mu, ln sigma) and returns a state at the new MAP
-estimate, so the next update's prior is centered there; the consumed
-observations are discarded, and memory per activity stays constant.
-map_updates solves every update of a cycle in one damped Newton
-iteration, one quadrature call per iteration, and falls back to a coarse
-grid search for a problem that does not converge.
+an activity's initial params. A PosteriorState keeps that prior and the
+combined record so far, so its size is constant, and each update is a
+one-row MAP from that prior, whatever the batching or order of records
+(up to the rounding of their combination). map_updates solves a cycle's
+updates in one damped Newton iteration, one quadrature call per
+iteration, with a coarse grid search for a problem that does not converge.
 
 Sampling after an update uses Lognormal(theta_MAP) directly (plug-in
 predictive); parameter uncertainty around the MAP point is not
@@ -33,7 +38,7 @@ propagated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -86,8 +91,6 @@ _STENCIL_POINTS = _STENCIL * np.array(
 
 _GRID_SIZE = 41  # fallback grid is 41 x 41
 
-_BLOCK_ROWS = 4096  # observation rows per quadrature call, unless one point has more
-
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -110,23 +113,43 @@ class ObservationRecord:
 
 @dataclass(frozen=True)
 class PosteriorState:
-    """Lognormal params and the prior of the next update, which is
-    centered at params: mu ~ Normal(params.mu, tau_mu) and
-    ln sigma ~ Normal(ln params.sigma, tau_log_sigma). A new state is the
-    initial state, and an update with no observations is a fixpoint."""
+    """An activity's MAP params; its prior, mu ~ Normal(prior.mu, tau_mu)
+    and ln sigma ~ Normal(ln prior.sigma, tau_log_sigma), with prior
+    defaulting to params in an initial state; and evidence, the combined
+    record of its observation_count measurements (None before the first).
+    An update with no observations is a fixpoint."""
 
     params: LognormalParams
     observation_count: int = 0
     tau_mu: float = DEFAULT_TAU_MU
     tau_log_sigma: float = DEFAULT_TAU_LOG_SIGMA
+    prior: LognormalParams | None = None
+    evidence: ObservationRecord | None = None
+
+    def __post_init__(self) -> None:
+        if self.prior is None:
+            object.__setattr__(self, "prior", self.params)
 
 
-def _validate_records(obs: Sequence[ObservationRecord]) -> None:
-    activities = {o.activity for o in obs}
+def _combine(obs: Sequence[ObservationRecord]) -> ObservationRecord:
+    """The record whose likelihood in d is proportional to the product of
+    the records' (non-empty, of one activity): their precision-weighted
+    mean, with noise_sd (sum of s^-2)^(-1/2). Weights (s_min / s)^2 keep a
+    lone record as it is; the mean, a correctly rounded convex combination
+    of values over their largest magnitude, cannot overflow or depend on
+    record order."""
+    activities = sorted({o.activity for o in obs})
     if len(activities) > 1:
-        raise MixedActivities(
-            f"observation batch spans activities {sorted(activities)}"
-        )
+        raise MixedActivities(f"observation batch spans activities {activities}")
+    values = [o.observed_duration for o in obs]
+    s_min = min(o.noise_sd for o in obs)
+    weights = [(s_min / o.noise_sd) ** 2 for o in obs]
+    total = math.fsum(weights)
+    scale = max(map(abs, values)) or 1.0
+    mean = scale * math.fsum(w / total * (v / scale) for w, v in zip(weights, values))
+    mean = min(max(mean, min(values)), max(values))  # rounding may step outside
+    noise = max(s_min / math.sqrt(total), math.ulp(0.0))
+    return ObservationRecord(obs[0].activity, mean, noise)
 
 
 class _Frame:
@@ -317,30 +340,31 @@ def _inside_box(mu, log_sigma):
 def marginal_log_likelihood(
     theta: LognormalParams, obs: Sequence[ObservationRecord]
 ) -> float:
-    """Sum over observations of the log marginal likelihood under theta.
-
-    Empty input is 0 (vacuous product). The per-observation integrals are
-    summed with exact (correctly rounded) accumulation, so the result is
-    invariant under permutation of the observation list. Raises
-    ValueError for a theta outside the box the MAP update searches.
-    """
-    _validate_records(obs)
+    """Log likelihood of the records as measurements of one duration d
+    drawn from Lognormal(theta), log integral prod_j Normal(O_j; d, s_j)
+    Lognormal(d; theta) dd: the combined record's quadrature row plus
+    log C, 0 for one record. The sum is correctly rounded, so record order
+    does not matter. Empty input is 0 (vacuous product). Raises ValueError
+    for a theta outside the box the MAP update searches."""
     if not obs:
         return 0.0
+    record = _combine(obs)
     if not _inside_box(theta.mu, math.log(theta.sigma)):
         raise ValueError(f"theta {theta} lies outside the likelihood's domain")
-    values = np.array([o.observed_duration for o in obs])
-    noise = np.array([o.noise_sd for o in obs])
-    n = len(obs)
-    rows = _quadrature(values, noise, np.full(n, theta.mu), np.full(n, theta.sigma))
-    return math.fsum(rows.tolist())
+    row = _quadrature(*np.array([[record.observed_duration], [record.noise_sd],
+                                 [theta.mu], [theta.sigma]]))
+    terms = [float(row[0]), math.log(record.noise_sd), (1 - len(obs)) * _LOG_SQRT_2PI]
+    for o in obs:
+        z = (o.observed_duration - record.observed_duration) / o.noise_sd
+        terms.append(-0.5 * z * z - math.log(o.noise_sd))
+    return math.fsum(terms)
 
 
 def log_prior(theta: LognormalParams, state: PosteriorState) -> float:
     """Normal log-density on mu plus Normal log-density on ln sigma, both
-    centered at state.params."""
+    centered at state.prior."""
     x = np.array([[theta.mu, math.log(theta.sigma)]])
-    center = np.array([[state.params.mu, math.log(state.params.sigma)]])
+    center = np.array([[state.prior.mu, math.log(state.prior.sigma)]])
     return float(_log_priors(x, center, np.array([[state.tau_mu, state.tau_log_sigma]]))[0])
 
 
@@ -354,55 +378,33 @@ def _log_priors(x: np.ndarray, centers: np.ndarray, taus: np.ndarray) -> np.ndar
 
 class _Problems:
     """The MAP objectives of (state, records) pairs, each records batch
-    non-empty, evaluated many points at a time, and the Newton runs'
-    starts: each problem's prior center x0, and for one with two or more
-    positive observations also their log-scale mean and spread (sigma at
-    least the prior's)."""
+    non-empty, evaluated many points at a time. A problem's evidence is
+    one record, its state's evidence and records combined, and its
+    Newton run starts at its prior center x0."""
 
     def __init__(self, pairs: Sequence[tuple[PosteriorState, tuple]]) -> None:
-        states = [state for state, _ in pairs]
-        self.x0 = np.array([[s.params.mu, math.log(s.params.sigma)] for s in states])
-        self.taus = np.array([[s.tau_mu, s.tau_log_sigma] for s in states])
-        starts, self.owners = [], []
-        for p, (state, obs) in enumerate(pairs):
-            starts.append(self.x0[p])
-            self.owners.append(p)
-            logs = [math.log(o.observed_duration) for o in obs if o.observed_duration > 0]
-            if len(logs) > 1:
-                mean = math.fsum(logs) / len(logs)
-                spread = math.sqrt(math.fsum((v - mean) ** 2 for v in logs) / len(logs))
-                starts.append([mean, math.log(max(spread, state.params.sigma))])
-                self.owners.append(p)
-        self.starts = np.array(starts)
-        self.counts = [len(obs) for _, obs in pairs]
-        ends = np.cumsum(self.counts)
-        self.rows = [np.arange(end - n, end) for n, end in zip(self.counts, ends)]
-        records = [(o.observed_duration, o.noise_sd) for _, obs in pairs for o in obs]
-        self.values, self.noise = np.array(records).T
+        self.x0 = np.array([[s.prior.mu, math.log(s.prior.sigma)] for s, _ in pairs])
+        self.taus = np.array([[s.tau_mu, s.tau_log_sigma] for s, _ in pairs])
+        self.records = [
+            _combine((state.evidence, *obs) if state.evidence else obs)
+            for state, obs in pairs
+        ]
+        self.values = np.array([r.observed_duration for r in self.records])
+        self.noise = np.array([r.noise_sd for r in self.records])
 
     def objectives(self, ids: Sequence[int], x: np.ndarray) -> list[float]:
         """Log-likelihood plus log-prior of problem ids[k] at
         x[k] = (mu, ln sigma), -inf outside the box. The points in the box
-        share one quadrature call per _BLOCK_ROWS observation rows."""
+        share one quadrature call."""
         ids = np.asarray(ids, dtype=np.intp)
-        priors = _log_priors(x, self.x0[ids], self.taus[ids]).tolist()
-        kept = np.flatnonzero(_inside_box(x[:, 0], x[:, 1]))
-        problems = ids[kept].tolist()
-        counts = [self.counts[p] for p in problems]
-        per_row: list[float] = []
-        block = max(1, _BLOCK_ROWS // max(self.counts))
-        for i in range(0, len(kept), block):
-            part = slice(i, i + block)
-            rows = np.concatenate([self.rows[p] for p in problems[part]])
-            mu = np.repeat(x[kept[part], 0], counts[part])
-            sigma = np.exp(np.repeat(x[kept[part], 1], counts[part]))
-            per_row += _quadrature(self.values[rows], self.noise[rows], mu, sigma).tolist()
-        values = [-math.inf] * len(x)
-        end = 0
-        for k, count in zip(kept.tolist(), counts):
-            end += count
-            values[k] = math.fsum(per_row[end - count : end]) + priors[k]
-        return values
+        values = _log_priors(x, self.x0[ids], self.taus[ids])
+        inside = _inside_box(x[:, 0], x[:, 1])
+        rows = ids[inside]
+        values[inside] += _quadrature(
+            self.values[rows], self.noise[rows], x[inside, 0], np.exp(x[inside, 1])
+        )
+        values[~inside] = -math.inf
+        return values.tolist()
 
 
 def _newton_step(f: np.ndarray) -> np.ndarray:
@@ -424,23 +426,21 @@ def _newton_step(f: np.ndarray) -> np.ndarray:
 
 
 def _newton(problems: _Problems) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize the objective of problems.owners[i] from problems.starts[i]
-    for every run i in lockstep, one objective call per iteration over the
-    stencils of the unfinished runs. A trial is accepted when its value
-    does not drop; otherwise its step is halved. A run converges when its
-    next step is below _STEP_TOL; it stops unconverged at a -inf start
-    (its step stays 0) or where its derivatives are not finite. Returns
-    the accepted points (runs, 2), their values, and which converged."""
-    owners = np.array(problems.owners)
-    x, trial = problems.starts.copy(), problems.starts.copy()
-    fx = np.full(len(owners), -math.inf)
+    """Maximize every problem's objective from its x0 in lockstep, one
+    objective call per iteration over the stencils of the unfinished
+    problems. A trial is accepted when its value does not drop; otherwise
+    its step is halved. A problem converges when its next step is below
+    _STEP_TOL; it stops unconverged at a -inf start (its step stays 0) or
+    where its derivatives are not finite. Returns the accepted points
+    (problems, 2), their values, and which converged."""
+    x, trial = problems.x0.copy(), problems.x0.copy()
+    fx = np.full(len(x), -math.inf)
     step = np.zeros_like(x)
-    converged = np.zeros(len(owners), dtype=bool)
-    active = np.arange(len(owners))
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
     for _ in range(_NEWTON_MAXITER):
         points = (trial[active][:, None, :] + _STENCIL_POINTS).reshape(-1, 2)
-        f = problems.objectives(np.repeat(owners[active], 6), points)
-        f = np.array(f).reshape(-1, 6)
+        f = np.array(problems.objectives(np.repeat(active, 6), points)).reshape(-1, 6)
         accept = (f[:, 0] >= fx[active]) & (f[:, 0] > -math.inf)
         taken = active[accept]
         x[taken], fx[taken] = trial[taken], f[accept, 0]
@@ -467,8 +467,6 @@ def map_updates(
     pair that fails raises.
     """
     pairs = [(state, tuple(obs)) for state, obs in pairs]
-    for _, obs in pairs:
-        _validate_records(obs)
     solving = [(state, obs) for state, obs in pairs if obs]
     posteriors = iter(_solve(solving) if solving else ())
     return [next(posteriors) if obs else state for state, obs in pairs]
@@ -477,31 +475,28 @@ def map_updates(
 def _solve(pairs: list[tuple[PosteriorState, tuple]]) -> list[PosteriorState]:
     problems = _Problems(pairs)
     xs, values, converged = _newton(problems)
-    runs: dict[int, list[int]] = {}
-    for i, owner in enumerate(problems.owners):
-        runs.setdefault(owner, []).append(i)
     out = []
     for p, (state, obs) in enumerate(pairs):
-        # the best run, converged runs first, the earlier start on ties
-        best = max(runs[p], key=lambda i: (converged[i], values[i], -i))
-        best_mu, best_log_sigma = float(xs[best, 0]), float(xs[best, 1])
-        best_value = float(values[best])
-        if not (converged[best] and math.isfinite(best_value)):
+        mu, log_sigma, value = float(xs[p, 0]), float(xs[p, 1]), float(values[p])
+        if not (converged[p] and math.isfinite(value)):
             grid_mu, grid_log_sigma, grid_value = _grid_argmax(problems, p)
-            if not math.isfinite(best_value) or grid_value > best_value:
-                best_mu, best_log_sigma, best_value = grid_mu, grid_log_sigma, grid_value
-            if not math.isfinite(best_value):
+            if not math.isfinite(value) or grid_value > value:
+                mu, log_sigma, value = grid_mu, grid_log_sigma, grid_value
+            if not math.isfinite(value):
                 raise OptimizationFailed(
                     "MAP objective is non-finite at every probe point"
                 )
-        if best_mu + 0.5 * math.exp(2.0 * best_log_sigma) > _LOG_SPAN_MAX:
+        if mu + 0.5 * math.exp(2.0 * log_sigma) > _LOG_SPAN_MAX:
             raise OptimizationFailed(
-                f"MAP estimate mu={best_mu:.6g}, sigma={math.exp(best_log_sigma):.6g} "
+                f"MAP estimate mu={mu:.6g}, sigma={math.exp(log_sigma):.6g} "
                 "has a mean duration too large to represent"
             )
-        params = LognormalParams(best_mu, max(math.exp(best_log_sigma), SIGMA_MIN))
-        count = state.observation_count + len(obs)
-        out.append(PosteriorState(params, count, state.tau_mu, state.tau_log_sigma))
+        out.append(replace(
+            state,
+            params=LognormalParams(mu, max(math.exp(log_sigma), SIGMA_MIN)),
+            observation_count=state.observation_count + len(obs),
+            evidence=problems.records[p],
+        ))
     return out
 
 
@@ -510,12 +505,12 @@ def map_update(
 ) -> PosteriorState:
     """Posterior state after absorbing a batch of observations.
 
-    params becomes the argmax of marginal_log_likelihood + log_prior; the
-    new state keeps the taus, so its prior is centered at the new params,
-    and the consumed observations are discarded. An empty batch returns
-    the state unchanged: the prior's argmax is its own center.
-    A Newton result that did not converge is checked against a coarse
-    grid search, and the better point is kept.
+    The batch joins the state's evidence, as measurements of the same
+    realized duration, and params becomes the argmax of
+    marginal_log_likelihood + log_prior over all of it; the new state
+    keeps the prior and the taus. An empty batch returns the state
+    unchanged. A Newton result that did not converge is checked against a
+    coarse grid search, and the better point is kept.
     Raises OptimizationFailed when the objective is non-finite everywhere
     or the MAP mean duration exp(mu + sigma^2/2) would overflow.
     """
@@ -523,7 +518,7 @@ def map_update(
 
 
 def _grid_argmax(problems: _Problems, p: int) -> tuple[float, float, float]:
-    """Coarse grid fallback around problem p's starting point, all points
+    """Coarse grid fallback around problem p's prior center, all points
     in one objective call. Points are taken mu-major and a point must beat
     the best so far strictly, so the first of tied points wins and NaN
     never does."""

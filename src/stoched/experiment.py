@@ -309,8 +309,8 @@ def posterior_models(
     tau_log_sigma: float,
 ) -> list[DurationModel]:
     """Priors updated by each batch in turn: one MAP update per activity
-    and batch, over that activity's records in batch order, stored in
-    memo under (state, records). An activity's updates chain, but those of
+    and batch, over that activity's records in the batch, stored in memo
+    under (state, records). An activity's updates chain, but those of
     different activities do not, so the k-th updates of all activities
     are solved together: one map_updates call over the ones memo does not
     hold yet. Activities without observations keep their prior object."""

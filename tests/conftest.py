@@ -1,6 +1,7 @@
 """Shared test helpers: fixture loading, small networks, random DAGs,
-the lognormal log-density oracle, a pure-Python splitmix64 uniform, and
-scipy's Nelder-Mead and a loop-based grid search on the MAP objective."""
+the lognormal log-density oracle, a pure-Python splitmix64 uniform,
+scipy's Nelder-Mead and a loop-based grid search on the MAP objective,
+and an exhaustive grid search of the solver's own objective."""
 
 from __future__ import annotations
 
@@ -124,6 +125,28 @@ def reference_nelder_mead(state: PosteriorState, obs):
             method="Nelder-Mead",
             options={"maxiter": 500, "xatol": 1e-6, "fatol": 1e-8},
         )
+
+
+def map_objective(prior: PosteriorState, obs, mus, sigmas) -> np.ndarray:
+    """The objective that map_update(prior, obs) maximizes, at each
+    (mus[k], sigmas[k]), all points in one call."""
+    points = np.column_stack([mus, np.log(sigmas)])
+    problems = bayes._Problems([(prior, tuple(obs))])
+    return np.array(problems.objectives(np.zeros(len(points), dtype=np.intp), points))
+
+
+def grid_best(obs, prior: PosteriorState, n: int = 120) -> float:
+    """Best objective value found by exhaustive grid search over
+    mu in [ln 5, ln 30] x sigma in [1e-3, 1.5]."""
+    mus, sigmas = np.meshgrid(
+        np.linspace(math.log(5.0), math.log(30.0), n), np.linspace(1e-3, 1.5, n)
+    )
+    return float(np.max(map_objective(prior, obs, mus.ravel(), sigmas.ravel())))
+
+
+def achieved(state: PosteriorState, obs, prior: PosteriorState) -> float:
+    """The MAP objective at state.params, as grid_best scores its points."""
+    return float(map_objective(prior, obs, [state.params.mu], [state.params.sigma])[0])
 
 
 def reference_grid_argmax(x0, obs, state, objective=_reference_objective):

@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import FIXTURE_DIR, path_max, random_dag, read_fixture
-from stoched.bayes import (
-    ObservationRecord,
-    PosteriorState,
-    log_prior,
-    map_update,
-    marginal_log_likelihood,
+from conftest import (
+    FIXTURE_DIR,
+    achieved,
+    grid_best,
+    path_max,
+    random_dag,
+    read_fixture,
 )
+from stoched.bayes import ObservationRecord, PosteriorState, map_update
 from stoched.cli import EXIT_OK, main
 from stoched.durations import (
     FrozenDuration,
@@ -157,25 +158,13 @@ def test_03_sample_mean_matches_lognormal_identity():
 def test_04_map_updates_match_grid_search_and_shrink():
     start = time.perf_counter()
 
-    def grid_best(obs, prior, n=200):
-        # exhaustive lower bound on the achievable objective
-        best = -math.inf
-        for mu in np.linspace(math.log(5.0), math.log(30.0), n):
-            for sigma in np.linspace(1e-3, 1.5, n):
-                theta = LognormalParams(float(mu), float(sigma))
-                value = marginal_log_likelihood(theta, obs) + log_prior(theta, prior)
-                best = max(best, value)
-        return best
-
-    # consensus case: many identical observations, vague location prior
+    # consensus case: many measurements of one duration, vague location prior
     state = PosteriorState(from_baseline(10.0, 0.3), tau_mu=10.0)
     obs = [ObservationRecord(0, 14.0, 0.1) for _ in range(50)]
     post = map_update(state, obs)
+    assert math.exp(post.params.mu) == pytest.approx(14.0, rel=1e-3)
     assert 13.5 <= expected_duration(post.params) <= 14.5
-    achieved = marginal_log_likelihood(post.params, obs) + log_prior(
-        post.params, state
-    )
-    assert achieved >= grid_best(obs, state) - 1e-3
+    assert achieved(post, obs, state) >= grid_best(obs, state, n=200) - 1e-3
 
     # dominance case: near-rigid location prior, single discordant record
     state = PosteriorState(
@@ -184,12 +173,10 @@ def test_04_map_updates_match_grid_search_and_shrink():
     obs = [ObservationRecord(0, 14.0, 1.0)]
     post = map_update(state, obs)
     assert expected_duration(post.params) == pytest.approx(10.0, rel=0.02)
-    achieved = marginal_log_likelihood(post.params, obs) + log_prior(
-        post.params, state
-    )
-    assert achieved >= grid_best(obs, state) - 1e-3
+    assert achieved(post, obs, state) >= grid_best(obs, state, n=200) - 1e-3
 
-    # posterior pull: estimate sandwiched between prior mean and sample mean
+    # posterior pull: the median sandwiched between the prior median and
+    # the measured mean, and the mean moved from the prior mean toward it
     pull_cases = [
         ([11.0, 13.0, 16.0, 20.0, 26.0], 0.5),
         ([10.5, 14.0, 22.0], 0.5),
@@ -201,17 +188,23 @@ def test_04_map_updates_match_grid_search_and_shrink():
     for values, noise_sd in pull_cases:
         state = PosteriorState(from_baseline(10.0, 0.3))
         post = map_update(state, [ObservationRecord(0, v, noise_sd) for v in values])
-        e = expected_duration(post.params)
-        lo, hi = sorted((10.0, float(np.mean(values))))
-        assert lo - 1e-9 <= e <= hi + 1e-9
+        mean = float(np.mean(values))
+        lo, hi = sorted((state.params.mu, math.log(mean)))
+        assert lo - 1e-9 <= post.params.mu <= hi + 1e-9
+        assert (expected_duration(post.params) - 10.0) * (mean - 10.0) > 0
 
-    # consistency: median error non-increasing at 5/20/80 observations, 20 seeds
+    # consistency: median distance to the posterior of one exact
+    # measurement non-increasing at 5/20/80 measurements, 20 seeds
     d_true, noise = 12.0, 0.25
+    initial = PosteriorState(from_baseline(8.0, 0.3))
+    exact = expected_duration(
+        map_update(initial, [ObservationRecord(0, d_true, 1e-9)]).params
+    )
     checkpoints = (5, 20, 80)
     errors = {k: [] for k in checkpoints}
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        state = PosteriorState(from_baseline(8.0, 0.3))
+        state = initial
         consumed = 0
         for k in checkpoints:
             batch = [
@@ -220,7 +213,7 @@ def test_04_map_updates_match_grid_search_and_shrink():
             ]
             state = map_update(state, batch)
             consumed = k
-            errors[k].append(abs(expected_duration(state.params) - d_true))
+            errors[k].append(abs(expected_duration(state.params) - exact))
     medians = [float(np.median(errors[k])) for k in checkpoints]
     assert medians[0] >= medians[1] >= medians[2]
 

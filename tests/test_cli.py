@@ -311,6 +311,17 @@ def test_update_overflowing_observation_is_numerical_failure(tmp_path, capsys):
     assert out == ""
 
 
+def test_update_measurements_near_the_float_limit_fail_cleanly(tmp_path, capsys):
+    # Two measurements of one activity whose plain weighted sum overflows:
+    # their combination must not, and the MAP fails as for one record.
+    obs = tmp_path / "obs.txt"
+    obs.write_text("2 1e308 1\n2 1.5e308 1\n")
+    code, out, err = run_cli(capsys, "update", J30, str(obs), "--n", "10")
+    assert code in (EXIT_INPUT, EXIT_NUMERIC)
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out == ""
+
+
 def test_update_tiny_noise_sd_runs_without_warnings(tmp_path, capsys):
     obs = tmp_path / "obs.txt"
     obs.write_text("4 6.0 1e-300\n")
