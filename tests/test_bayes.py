@@ -434,13 +434,17 @@ def _one_point_objective(problems):
     return objective
 
 
-def test_grid_argmax_matches_a_loop_over_single_points():
+@pytest.mark.parametrize("copies", [4096, 7])
+def test_grid_argmax_matches_a_loop_over_single_points(copies):
     # The fallback case of the test above: only part of the grid lies
-    # inside the mu box. Its points share one quadrature call.
+    # inside the mu box. Its points share one quadrature call. The
+    # activity is measured `copies` times, so the grid searches the one
+    # combined record, its noise_sd shrunk by sqrt(copies).
     state = PosteriorState(LognormalParams(202.0, 0.5))
     observed = math.exp(199.5)
-    obs = (ObservationRecord(0, observed, 0.1 * observed),)
+    obs = (ObservationRecord(0, observed, 0.1 * observed),) * copies
     problems = bayes._Problems([(state, obs)])
+    assert problems.noise[0] == pytest.approx(0.1 * observed / math.sqrt(copies))
     x0 = problems.x0[0]
     expected = reference_grid_argmax(x0, obs, state, _one_point_objective(problems))
     assert math.isfinite(expected[2])
