@@ -26,9 +26,10 @@ The prior over theta is Normal on mu and Normal on ln sigma, centered at
 an activity's initial params. A PosteriorState keeps that prior and the
 combined record so far, so its size is constant, and each update is a
 one-row MAP from that prior, whatever the batching or order of records
-(up to the rounding of their combination). map_updates solves a cycle's
-updates in one damped Newton iteration, one quadrature call per
-iteration, with a coarse grid search for a problem that does not converge.
+(up to the rounding of their combination). map_updates solves the
+updates of many activities in one damped Newton iteration, one
+quadrature call per iteration, with a coarse grid search for a problem
+that does not converge.
 
 Sampling after an update uses Lognormal(theta_MAP) directly (plug-in
 predictive); parameter uncertainty around the MAP point is not

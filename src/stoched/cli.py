@@ -285,9 +285,7 @@ def cmd_forecast(args) -> int:
             records.append(record)
 
     out_dir = _make_out_dir(args.out) if args.out else None
-    posterior = posterior_models(
-        priors, [records], {}, DEFAULT_TAU_MU, DEFAULT_TAU_LOG_SIGMA
-    )
+    posterior = posterior_models(priors, records, DEFAULT_TAU_MU, DEFAULT_TAU_LOG_SIGMA)
     observation_counts = [0] * net.activity_count
     for record in records:
         observation_counts[record.activity] += 1

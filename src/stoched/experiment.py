@@ -15,22 +15,24 @@ same realization, so methods are compared on the same project. Methods:
   bayes_no_propagation  MAP updates, then CPM on posterior means (point).
   full_framework        MAP updates, then Monte Carlo on the final posterior.
 
-Strategies deliver each activity's single observation in ground-truth
-earliest-finish order: none (no updates), periodic (4 batches),
-continuous (one cycle per observation). Only the final forecast is
-scored, so full_framework simulates once, after the last cycle. A
-Scenario also memoizes its MAP updates and forecasts, so each distinct
-one is computed once for all of its cells: static_mc and
-full_framework/none share the prior forecast, and bayes_no_propagation
-and full_framework share the updates. run_matrix computes a scenario's
-distinct sampled forecasts (the priors' and each strategy's final
-posterior's) in one simulate_many call, so they share one draw pass:
-the same normals, hashed once, as common random numbers. Each forecast
-past the first costs one more duration matrix per worker.
+A strategy says which observations reach the forecast. Each stochastic
+activity has one observation, delivered in ground-truth earliest-finish
+order: none delivers none of them, periodic and continuous all of them
+before the only scored forecast. So the Bayes methods forecast the
+priors under none, and under periodic and continuous the scenario's one
+posterior, one MAP update per observed activity. A Scenario also
+memoizes that posterior and its forecasts, so each distinct one is
+computed once for all of its cells: static_mc and full_framework/none
+share the prior forecast, and bayes_no_propagation and full_framework
+share the posterior. run_matrix computes a scenario's distinct sampled
+forecasts (the priors' and the posterior's) in one simulate_many call,
+so they share one draw pass: the same normals, hashed once, as common
+random numbers. Each forecast past the first costs one more duration
+matrix per worker.
 
-Known limitation: while each activity has a single observation, periodic
-and continuous reach the same posterior, so their rows are equal; the
-strategy axis only separates them once forecasts are scored mid-project.
+Known limitation: periodic and continuous rows are therefore equal in
+every field but the strategy; the strategy axis only separates them
+once forecasts are scored mid-project.
 
 A point forecast is one replicate over frozen durations, scored like
 any other: RMSE is per-replicate deviation from the realized completion
@@ -73,7 +75,6 @@ METHODS = (
 )
 # Methods that forecast with one replicate: a CPM pass, no histogram.
 POINT_METHODS = ("deterministic_cpm", "bayes_no_propagation")
-PERIODIC_BATCHES = 4
 
 # Prior confidence used when initializing per-activity posterior states for
 # scenario runs. Each activity yields a single noisy completion measurement,
@@ -177,8 +178,9 @@ class GridConfig:
 class Scenario:
     """One (instance, uncertainty, seed) and everything its cells share.
 
-    memo holds MAP update and simulate results keyed by their arguments,
-    so cells of the scenario that make equal calls compute them once.
+    memo holds the posterior, under "posterior", and the forecasts, keyed
+    by their models and replicate count, so cells that need one compute
+    it once.
     """
 
     instance_name: str
@@ -280,88 +282,71 @@ def generate_observations(
     return records
 
 
-def observation_batches(
-    records: Sequence[ObservationRecord], strategy: str
-) -> list[list[ObservationRecord]]:
-    """Split the delivery sequence into update cycles."""
-    if strategy == "none":
-        return []
-    if strategy == "continuous":
-        return [[r] for r in records]
-    if strategy == "periodic":
-        batches = [list(part) for part in np.array_split(list(records), PERIODIC_BATCHES)]
-        return [b for b in batches if b]
-    raise ConfigError(f"unknown strategy {strategy!r}")
-
-
-def _cached(memo: dict, key, compute):
-    """compute() once per key; later calls return the stored value."""
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def posterior_models(
     priors: Sequence[DurationModel],
-    batches: Iterable[Sequence[ObservationRecord]],
-    memo: dict,
+    records: Iterable[ObservationRecord],
     tau_mu: float,
     tau_log_sigma: float,
 ) -> list[DurationModel]:
-    """Priors updated by each batch in turn: one MAP update per activity
-    and batch, over that activity's records in the batch, stored in memo
-    under (state, records). An activity's updates chain, but those of
-    different activities do not, so the k-th updates of all activities
-    are solved together: one map_updates call over the ones memo does not
-    hold yet. Activities without observations keep their prior object."""
-    updates: dict[int, list[tuple[ObservationRecord, ...]]] = {}
-    for batch in batches:
-        grouped: dict[int, list[ObservationRecord]] = {}
-        for record in batch:
-            grouped.setdefault(record.activity, []).append(record)
-        for activity, records in grouped.items():
-            updates.setdefault(activity, []).append(tuple(records))
-    states = {
-        activity: PosteriorState(
-            priors[activity], tau_mu=tau_mu, tau_log_sigma=tau_log_sigma
-        )
-        for activity in updates
-    }
-    for k in range(max(map(len, updates.values()), default=0)):
-        keys = {
-            activity: (states[activity], records[k])
-            for activity, records in updates.items()
-            if k < len(records)
-        }
-        pending = [key for key in keys.values() if key not in memo]
-        memo.update(zip(pending, map_updates(pending)))
-        for activity, key in keys.items():
-            states[activity] = memo[key]
-    return [
-        states[i].params if i in states else priors[i]
-        for i in range(len(priors))
-    ]
+    """Priors updated by the records: one MAP update per observed
+    activity over all of its records, all solved in one map_updates call.
+    Activities without observations keep their prior object."""
+    grouped: dict[int, list[ObservationRecord]] = {}
+    for record in records:
+        grouped.setdefault(record.activity, []).append(record)
+    states = map_updates([
+        (PosteriorState(priors[activity], tau_mu=tau_mu, tau_log_sigma=tau_log_sigma), obs)
+        for activity, obs in grouped.items()
+    ])
+    posterior = list(priors)
+    for activity, state in zip(grouped, states):
+        posterior[activity] = state.params
+    return posterior
 
 
 def _posterior(scenario: Scenario, strategy: str) -> list[DurationModel]:
-    """Priors updated by every observation batch the strategy delivers."""
-    return posterior_models(
-        scenario.priors,
-        observation_batches(scenario.observations, strategy),
-        scenario.memo,
-        PRIOR_TAU_MU,
-        PRIOR_TAU_LOG_SIGMA,
-    )
+    """The priors under none. periodic and continuous both deliver every
+    observation before the only scored forecast, so they share the
+    scenario's one posterior."""
+    if strategy == "none":
+        return scenario.priors
+    if "posterior" not in scenario.memo:
+        scenario.memo["posterior"] = posterior_models(
+            scenario.priors, scenario.observations, PRIOR_TAU_MU, PRIOR_TAU_LOG_SIGMA
+        )
+    return scenario.memo["posterior"]
+
+
+def _cell_models(
+    scenario: Scenario, strategy: str, method: str
+) -> tuple[list[DurationModel], int]:
+    """The models a cell forecasts, and with how many replicates: a point
+    method forecasts one replicate over frozen durations."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    if method == "deterministic_cpm":
+        models = [FrozenDuration(float(d)) for d in scenario.baselines]
+    elif method == "static_mc":
+        models = scenario.priors
+    elif method == "bayes_no_propagation":
+        means = map(expected_duration, _posterior(scenario, strategy))
+        models = [FrozenDuration(d) for d in means]
+    else:
+        models = _posterior(scenario, strategy)
+    replicates = 1 if method in POINT_METHODS else scenario.sim_cfg.replicate_count
+    return models, replicates
 
 
 def _forecast(
     scenario: Scenario, models: list[DurationModel], replicates: int, workers: int
 ) -> ForecastResult:
-    def compute() -> ForecastResult:
+    key = (tuple(models), replicates)
+    if key not in scenario.memo:
         cfg = replace(scenario.sim_cfg, replicate_count=replicates)
-        return _shared(simulate(scenario.net, models, cfg, workers))
-
-    return _cached(scenario.memo, (tuple(models), replicates), compute)
+        scenario.memo[key] = _shared(simulate(scenario.net, models, cfg, workers))
+    return scenario.memo[key]
 
 
 def _shared(result: ForecastResult) -> ForecastResult:
@@ -375,20 +360,21 @@ def _shared(result: ForecastResult) -> ForecastResult:
 def _sampled_forecasts(
     scenario: Scenario, strategies: Sequence[str], methods: Sequence[str], workers: int
 ) -> None:
-    """Store in memo the distinct sampled forecasts that the cells of
-    these strategies and methods score: the priors' (static_mc) and each
-    strategy's final posterior's (full_framework), from one simulate_many
-    call. A posterior or a call that fails stores nothing: the cells that
-    need it compute it on their own, so the failure surfaces at the first
-    of them, as if every cell computed alone."""
-    model_sets = [scenario.priors] if "static_mc" in methods else []
-    for strategy in strategies if "full_framework" in methods else ():
-        try:
-            model_sets.append(_posterior(scenario, strategy))
-        except NumericalError:
-            pass
-    replicates = scenario.sim_cfg.replicate_count
-    distinct = {(tuple(models), replicates): models for models in model_sets}
+    """Store in memo the distinct forecasts at the configured replicate
+    count that the cells of these strategies and methods score, from one
+    simulate_many call over them in grid order. A posterior or a call
+    that fails stores nothing: the cells that need it compute it on their
+    own, so the failure surfaces at the first of them, as if every cell
+    computed alone."""
+    distinct: dict = {}
+    for strategy in strategies:
+        for method in methods:
+            try:
+                models, replicates = _cell_models(scenario, strategy, method)
+            except NumericalError:
+                continue
+            if replicates == scenario.sim_cfg.replicate_count:
+                distinct.setdefault((tuple(models), replicates), models)
     try:
         forecasts = simulate_many(
             scenario.net, list(distinct.values()), scenario.sim_cfg, workers
@@ -406,18 +392,7 @@ def run_method(
     Returns the row plus the final forecast. A point method's forecast
     is one replicate whose sample is the CPM makespan of its durations.
     """
-    if method == "deterministic_cpm":
-        models = [FrozenDuration(float(d)) for d in scenario.baselines]
-    elif method == "static_mc":
-        models = scenario.priors
-    elif method == "bayes_no_propagation":
-        means = map(expected_duration, _posterior(scenario, strategy))
-        models = [FrozenDuration(d) for d in means]
-    elif method == "full_framework":
-        models = _posterior(scenario, strategy)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    replicates = 1 if method in POINT_METHODS else scenario.sim_cfg.replicate_count
+    models, replicates = _cell_models(scenario, strategy, method)
     forecast = _forecast(scenario, models, replicates, workers)
 
     t_true = scenario.truth.t_true

@@ -104,12 +104,12 @@ def simulate_many(
         return []
 
     n_rep = cfg.replicate_count
-    chunk_bounds = [(a, min(a + _CHUNK, n_rep)) for a in range(0, n_rep, _CHUNK)]
+    chunk_count = (n_rep + _CHUNK - 1) // _CHUNK
     samples = [np.empty(n_rep) for _ in model_sets]
-    chunk_counts = [np.empty((len(chunk_bounds), n), dtype=np.int64) for _ in model_sets]
+    chunk_counts = [np.empty((chunk_count, n), dtype=np.int64) for _ in model_sets]
     sampler = _Sampler(model_sets, cfg.seed)
     width = min(_CHUNK, n_rep)
-    pending = iter(range(len(chunk_bounds)))
+    pending = iter(range(chunk_count))
     failures: dict[int, NonFiniteResult] = {}  # chunk index -> what it raised
     lock = threading.Lock()
 
@@ -121,7 +121,8 @@ def simulate_many(
                 index = None if failures else next(pending, None)
             if index is None:
                 return
-            a, b = chunk_bounds[index]
+            a = index * _CHUNK
+            b = min(a + _CHUNK, n_rep)
             # a flat prefix keeps a short last chunk C-contiguous
             *durations, es, ef, ls = (m[: n * (b - a)].reshape(n, b - a) for m in matrices)
             try:
@@ -135,7 +136,7 @@ def simulate_many(
                     failures[index] = failure
                 return
 
-    threads = min(workers, len(chunk_bounds))
+    threads = min(workers, chunk_count)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for future in [pool.submit(worker) for _ in range(threads)]:

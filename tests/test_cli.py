@@ -5,12 +5,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE_DIR, read_fixture
+import stoched
 from stoched.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from stoched.errors import OptimizationFailed
 from stoched.experiment import derive_seeds
@@ -666,3 +671,33 @@ def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error:") and "--n" in err
     assert len(err.splitlines()) == 1
+
+
+def test_huge_replicate_count_fails_before_it_fills_memory(tmp_path):
+    # A real run, not a monkeypatched simulate: the replicate count must
+    # be rejected at the first allocation its size forces, before any
+    # per-chunk bookkeeping (N / 4096 entries) fills the address space.
+    limit = 1_500_000_000
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        resource.setrlimit(resource.RLIMIT_CPU, (120, 120))  # bounds the wait
+
+    env = dict(os.environ, PYTHONPATH=str(Path(stoched.__file__).parents[1]))
+    script = "import sys; from stoched.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["forecast", J30, "--n", "1000000000000", "--threads", "1"]
+    err_path = tmp_path / "stderr"
+    with open(err_path, "wb") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=err,
+            env=env,
+            preexec_fn=cap_address_space,
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    lines = err_path.read_text().splitlines()
+    assert child.returncode == EXIT_USAGE, lines
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--n" in lines[0]
+    assert usage.ru_maxrss < 300 * 1024  # kilobytes on Linux

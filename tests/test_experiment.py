@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from stoched.experiment import (
     jsonl_lines,
     make_scenario,
     median_rmse_by_method,
-    observation_batches,
     posterior_models,
     run_matrix,
     run_method,
@@ -245,29 +245,6 @@ def test_observation_noise_is_seed_stable(j30):
     assert a == b
 
 
-# ------------------------------------------------------------------ batching
-
-
-def test_observation_batches_by_strategy():
-    records = [ObservationRecord(i, 5.0, 0.5) for i in range(10)]
-    assert observation_batches(records, "none") == []
-    continuous = observation_batches(records, "continuous")
-    assert [len(b) for b in continuous] == [1] * 10
-    assert [b[0].activity for b in continuous] == list(range(10))
-    periodic = observation_batches(records, "periodic")
-    assert [len(b) for b in periodic] == [3, 3, 2, 2]
-    flat = [r.activity for b in periodic for r in b]
-    assert flat == list(range(10))
-
-
-def test_observation_batches_fewer_records_than_cycles():
-    records = [ObservationRecord(i, 5.0, 0.5) for i in range(3)]
-    periodic = observation_batches(records, "periodic")
-    assert [len(b) for b in periodic] == [1, 1, 1]
-    with pytest.raises(ConfigError):
-        observation_batches(records, "weekly")
-
-
 # ---------------------------------------------------------------- run_method
 
 
@@ -313,19 +290,39 @@ def test_bayes_without_updates_degenerates_to_plan():
     )
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_run_method_rejects_unknown_strategy(method):
+    # checked for every method, not only those whose forecast it changes
+    with pytest.raises(ConfigError, match="weekly"):
+        run_method(_diamond_scenario(3, 50), "weekly", method)
+
+
+def test_periodic_and_continuous_rows_are_equal(j30):
+    # Known limitation: both strategies deliver every observation before
+    # the only scored forecast, so their rows differ only in the strategy.
+    # ROADMAP items 3 and 9 break this on purpose, by scoring forecasts at
+    # report times mid-project. Each strategy runs on its own scenario, so
+    # the equality does not come from a shared memo.
+    net, baselines = j30
+    for method in METHODS:
+        periodic, continuous = (
+            run_method(
+                make_scenario("j30", net, baselines, "moderate", 11, 200, 1.0),
+                strategy,
+                method,
+            )[0]
+            for strategy in ("periodic", "continuous")
+        )
+        assert replace(periodic, strategy="continuous") == continuous, method
+
+
 def test_updates_shrink_log_errors_when_observations_are_nearly_exact(j30):
     net, baselines = j30
     priors = _priors(baselines)
     factors = []
     for seed in range(3):
         truth, records = _observations(net, baselines, "moderate", seed, noise_fraction=1e-6)
-        posterior = posterior_models(
-            priors,
-            observation_batches(records, "continuous"),
-            {},
-            PRIOR_TAU_MU,
-            PRIOR_TAU_LOG_SIGMA,
-        )
+        posterior = posterior_models(priors, records, PRIOR_TAU_MU, PRIOR_TAU_LOG_SIGMA)
         prior_sq, post_sq = [], []
         for i, model in enumerate(priors):
             if is_frozen(model):
@@ -349,25 +346,16 @@ def test_posterior_models_makes_one_update_per_activity_in_batch_order():
         ObservationRecord(1, 3.5, 0.4),
         ObservationRecord(2, 5.5, 0.5),
     ]
-    posterior = posterior_models(DIAMOND_PRIORS, [batch], {}, 0.4, 0.7)
+    posterior = posterior_models(DIAMOND_PRIORS, batch, 0.4, 0.7)
     for activity in (1, 2):
         state = PosteriorState(DIAMOND_PRIORS[activity], tau_mu=0.4, tau_log_sigma=0.7)
         own = [r for r in batch if r.activity == activity]
         assert posterior[activity] == map_update(state, own).params
     assert posterior[0] is DIAMOND_PRIORS[0] and posterior[3] is DIAMOND_PRIORS[3]
-    unobserved = posterior_models(DIAMOND_PRIORS, [batch[:1]], {}, 0.4, 0.7)
+    # an activity's records combine into one, so their order does not matter
+    assert posterior_models(DIAMOND_PRIORS, batch[::-1], 0.4, 0.7) == posterior
+    unobserved = posterior_models(DIAMOND_PRIORS, batch[:1], 0.4, 0.7)
     assert unobserved[1] is DIAMOND_PRIORS[1]
-
-
-def test_posterior_models_reuses_memoized_updates(monkeypatch):
-    batches = [[ObservationRecord(1, 3.5, 0.4)], [ObservationRecord(1, 4.5, 0.4)]]
-    memo: dict = {}
-    first = posterior_models(DIAMOND_PRIORS, batches, memo, 0.4, 0.7)
-    counts = _count_calls(monkeypatch, names=("map_updates",))
-    again = posterior_models(DIAMOND_PRIORS, batches, memo, 0.4, 0.7)
-    assert counts == {"map_updates": 0}
-    assert again == first
-    assert len(memo) == 2
 
 
 def test_full_framework_strategies_update_through_different_cycles():

@@ -17,8 +17,8 @@ SRC = ROOT / "src"
 
 # The probe runs in a fresh interpreter, so each check sees only the imports
 # above it. The lower layers load no scipy, bayes or experiment, and no
-# command path loads scipy.optimize: the MAP update runs its own
-# Nelder-Mead, so even an update with observations leaves it out.
+# command path loads scipy.optimize: the MAP update runs its own lockstep
+# Newton, so even an update with observations leaves it out.
 LAYERING_PROBE = """
 import contextlib, io, json, sys
 import stoched.durations, stoched.network, stoched.psplib
