@@ -16,7 +16,8 @@ numerical failure. All outputs are deterministic given flags and inputs;
 the seed is always an explicit flag, never wall-clock. A command with an
 output directory creates it after every check, before computing, and
 writes its result files and then one manifest.json only after the run
-succeeds, before it prints; a failed write removes the files it wrote.
+succeeds, before it prints; a failed write removes the files it wrote,
+and a failed run removes the directories it made while they are empty.
 The manifest records the command, resolved configuration, digests of the
 input bytes that ran, tool version and timestamp (it is an audit record,
 unlike the result files, and carries the only non-deterministic fields).
@@ -29,6 +30,7 @@ import hashlib
 import math
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -203,13 +205,30 @@ def _json_text(payload: dict) -> str:
     return finite_json(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _make_out_dir(path: str) -> Path:
+@contextmanager
+def _output_dir(path: str | None):
+    """The directory path, made for the outputs of the run in the with
+    block (None if no path is given). If the run raises, the directories
+    this made are removed again, leaf first, while they are empty; a
+    directory that existed before is never removed."""
+    if not path:
+        yield None
+        return
     out_dir = Path(path)
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
-    return out_dir
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+        yield out_dir
+    except BaseException:
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:  # not empty, or never made
+                break
+        raise
 
 
 def _write_outputs(
@@ -284,44 +303,44 @@ def cmd_forecast(args) -> int:
                 )
             records.append(record)
 
-    out_dir = _make_out_dir(args.out) if args.out else None
-    posterior = posterior_models(priors, records, DEFAULT_TAU_MU, DEFAULT_TAU_LOG_SIGMA)
-    observation_counts = [0] * net.activity_count
-    for record in records:
-        observation_counts[record.activity] += 1
-    result = simulate(
-        net,
-        posterior,
-        SimulationConfig(
-            replicate_count=n, seed=args.seed, target_completion=target
-        ),
-        workers,
-    )
-    payload = {
-        "instance": name,
-        "jobs": inst.job_count,
-        "sigma": sigma,
-        "replicates": n,
-        "seed": args.seed,
-        "target": target,
-        "expected_completion": result.expected_completion,
-        "completion_variance": result.completion_variance,
-        "delay_probability": result.delay_probability,
-        "ci90_width": result.ci90_width,
-        "quantiles": {str(level): q for level, q in result.quantiles.items()},
-        "critical_probability": [float(p) for p in result.critical_probability],
-        "critical_counts": [int(c) for c in result.critical_counts],
-        "prior_expected_durations": [expected_duration(m) for m in priors],
-        "posterior_expected_durations": [expected_duration(m) for m in posterior],
-        "observation_counts": observation_counts,
-    }
-    if out_dir:
-        files = {
-            "result.json": _json_text(payload),
-            "histogram.csv": histogram_csv(result.samples),
+    with _output_dir(args.out) as out_dir:
+        posterior = posterior_models(priors, records, DEFAULT_TAU_MU, DEFAULT_TAU_LOG_SIGMA)
+        observation_counts = [0] * net.activity_count
+        for record in records:
+            observation_counts[record.activity] += 1
+        result = simulate(
+            net,
+            posterior,
+            SimulationConfig(
+                replicate_count=n, seed=args.seed, target_completion=target
+            ),
+            workers,
+        )
+        payload = {
+            "instance": name,
+            "jobs": inst.job_count,
+            "sigma": sigma,
+            "replicates": n,
+            "seed": args.seed,
+            "target": target,
+            "expected_completion": result.expected_completion,
+            "completion_variance": result.completion_variance,
+            "delay_probability": result.delay_probability,
+            "ci90_width": result.ci90_width,
+            "quantiles": {str(level): q for level, q in result.quantiles.items()},
+            "critical_probability": [float(p) for p in result.critical_probability],
+            "critical_counts": [int(c) for c in result.critical_counts],
+            "prior_expected_durations": [expected_duration(m) for m in priors],
+            "posterior_expected_durations": [expected_duration(m) for m in posterior],
+            "observation_counts": observation_counts,
         }
-        config = {"sigma": sigma, "n": n, "seed": args.seed, "target": target}
-        _write_outputs(out_dir, files, args.command, config, args.seed, digests)
+        if out_dir:
+            files = {
+                "result.json": _json_text(payload),
+                "histogram.csv": histogram_csv(result.samples),
+            }
+            config = {"sigma": sigma, "n": n, "seed": args.seed, "target": target}
+            _write_outputs(out_dir, files, args.command, config, args.seed, digests)
     sys.stdout.write(_json_text(payload))
     return EXIT_OK
 
@@ -399,7 +418,6 @@ def cmd_experiment(args) -> int:
         **grid_fields,
     )
 
-    out_dir = _make_out_dir(args.out)
     files: dict[str, str] = {}
 
     def keep_histogram(row, forecast) -> None:
@@ -411,19 +429,20 @@ def cmd_experiment(args) -> int:
             files[name] = histogram_csv(forecast.samples)
 
     on_result = keep_histogram if emit_histograms == "true" else None
-    rows = run_matrix(grid, workers=workers, on_result=on_result)
-    files["results.csv"] = csv_lines(rows)
-    files["results.jsonl"] = jsonl_lines(rows)
-    manifest_config = {
-        **{field: getattr(grid, field) for field, _, _ in _GRID_KEYS.values()},
-        "instances": paths,
-        "master_seed": master_seed,
-        "seed_count": seed_count,
-        "seeds": seeds,
-        "threads": workers,
-        "seeds_used": grid.seeds,
-    }
-    _write_outputs(out_dir, files, "experiment", manifest_config, master_seed, digests)
+    with _output_dir(args.out) as out_dir:
+        rows = run_matrix(grid, workers=workers, on_result=on_result)
+        files["results.csv"] = csv_lines(rows)
+        files["results.jsonl"] = jsonl_lines(rows)
+        manifest_config = {
+            **{field: getattr(grid, field) for field, _, _ in _GRID_KEYS.values()},
+            "instances": paths,
+            "master_seed": master_seed,
+            "seed_count": seed_count,
+            "seeds": seeds,
+            "threads": workers,
+            "seeds_used": grid.seeds,
+        }
+        _write_outputs(out_dir, files, "experiment", manifest_config, master_seed, digests)
     summary = {
         "rows": len(rows),
         "out_dir": str(out_dir),

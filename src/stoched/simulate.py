@@ -14,25 +14,35 @@ each (replicate, activity) counter, so they are forecast under common
 random numbers, and each chunk hashes and inverts its normals once for
 all of them. simulate is its one-set call.
 
-Each worker allocates its buffers once per call: one (activities, chunk)
-duration matrix per model set, the kernel's es/ef/ls arrays and one
-block of counters. It takes chunk indices from a shared counter and
-reuses those buffers for every chunk it takes, so a call's memory does
-not grow with N or hang on the allocator's trim heuristics. A chunk's
-draws are made one block of _BLOCK_ROWS activities at a time: hashed
-into the first set's rows of the block, exponentiated from there into
-each later set's rows, then transformed in place, all while the block
-is in cache. Every buffer cell a chunk reads was written for that chunk,
-so reused buffers never enter results. Once a chunk fails, no worker
+A call runs one worker in the calling thread and up to workers - 1 on
+helper threads of one pool that every call shares, made on first use
+and replaced by a larger one when a call needs more helpers than it
+holds. Each thread keeps one flat float64 workspace between calls,
+grown to its largest request and never shrunk; a worker views its
+prefix as one (activities, chunk) duration matrix per model set, the
+kernel's es/ef/ls arrays and one block of counters, and reuses the
+views for every chunk it takes. A thread so holds (sets + 3) x
+activities x 4096 x 8 bytes plus 512 KB of counters for its largest
+call, about 16 MB for a j120 forecast, and a call's memory does not
+grow with N. A chunk's draws are made one block of _BLOCK_ROWS
+activities at a time: hashed into the first set's rows of the block,
+exponentiated from there into each later set's rows, then transformed
+in place, all while the block is in cache. Every buffer cell a chunk
+reads was written for that chunk, so reused buffers never enter
+results, in this call or a later one. Once a chunk fails, no worker
 takes a new one, and the failure of the lowest failed chunk is raised:
-chunks are taken in index order, so every lower chunk has run.
+chunks are taken in index order, so every lower chunk has run. When the
+calling thread's worker returns or raises, the call hands out no more
+chunks, cancels the helpers that have not started and waits for the
+others, so it never waits on a queued helper and no helper draws after
+it returns.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,6 +59,12 @@ _CHUNK = 4096
 _BLOCK_ROWS = 16
 
 QUANTILE_LEVELS = (0.05, 0.5, 0.95)
+
+_local = threading.local()  # each thread's workspace
+# the helper threads every call shares, and how many the pool holds
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -109,13 +125,13 @@ def simulate_many(
     chunk_counts = [np.empty((chunk_count, n), dtype=np.int64) for _ in model_sets]
     sampler = _Sampler(model_sets, cfg.seed)
     width = min(_CHUNK, n_rep)
+    matrix_count = len(model_sets) + 3
     pending = iter(range(chunk_count))
     failures: dict[int, NonFiniteResult] = {}  # chunk index -> what it raised
     lock = threading.Lock()
 
     def worker() -> None:
-        matrices = [np.empty(n * width) for _ in range(len(model_sets) + 3)]
-        counters = sampler.counter_buffer(width)
+        workspace = _workspace(matrix_count * n * width + sampler.counter_cells(width))
         while True:
             with lock:
                 index = None if failures else next(pending, None)
@@ -124,7 +140,9 @@ def simulate_many(
             a = index * _CHUNK
             b = min(a + _CHUNK, n_rep)
             # a flat prefix keeps a short last chunk C-contiguous
-            *durations, es, ef, ls = (m[: n * (b - a)].reshape(n, b - a) for m in matrices)
+            matrices = workspace[: matrix_count * n * (b - a)]
+            *durations, es, ef, ls = matrices.reshape(matrix_count, n, b - a)
+            counters = workspace[matrices.size :].view(np.uint64)
             try:
                 sampler.fill(durations, a, counters)
                 for j, matrix in enumerate(durations):
@@ -136,19 +154,47 @@ def simulate_many(
                     failures[index] = failure
                 return
 
-    threads = min(workers, chunk_count)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(worker) for _ in range(threads)]:
-                future.result()
-    else:
+    helpers = _submit_helpers(worker, min(workers, chunk_count) - 1)
+    try:
         worker()
-    if failures:
-        raise failures[min(failures)]
+    finally:
+        with lock:
+            pending = iter(())  # hand out no more chunks
+        # a helper that has not started never will; the others finish
+        started = [helper for helper in helpers if not helper.cancel()]
+        wait(started)
+        if failures:
+            raise failures[min(failures)]
+    for helper in started:
+        helper.result()  # a helper's own error
     return [
         _forecast_result(x, counts.sum(axis=0), cfg.target_completion)
         for x, counts in zip(samples, chunk_counts)
     ]
+
+
+def _workspace(size: int) -> np.ndarray:
+    """The first size cells of this thread's flat float64 workspace; it
+    grows to the largest request and is never shrunk."""
+    buf = getattr(_local, "workspace", None)
+    if buf is None or buf.size < size:
+        buf = _local.workspace = None  # free the old one before the new one
+        buf = _local.workspace = np.empty(size)
+    return buf[:size]
+
+
+def _submit_helpers(task, count: int) -> list[Future]:
+    """Submit count runs of task to the shared helper pool, first
+    replacing the pool by one of count threads if it holds fewer. A
+    replaced pool finishes the tasks it was given, then its threads exit."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < count:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(count, thread_name_prefix="stoched-simulate")
+            _pool_size = count
+        return [_pool.submit(task) for _ in range(count)]
 
 
 def _forecast_result(
@@ -198,7 +244,8 @@ def sample_duration_matrix(
     """
     durations = np.empty((net.activity_count, row_stop - row_start))
     sampler = _Sampler([per_activity], seed)
-    sampler.fill([durations], row_start, sampler.counter_buffer(durations.shape[1]))
+    counters = np.empty(sampler.counter_cells(durations.shape[1]), dtype=np.uint64)
+    sampler.fill([durations], row_start, counters)
     return durations
 
 
@@ -229,9 +276,9 @@ class _Sampler:
                 self.blocks.append((a, a + _BLOCK_ROWS, sets))
         self.key = stream_key(seed, "sim")
 
-    def counter_buffer(self, width: int) -> np.ndarray:
-        """The counters of a block of up to width replicates."""
-        return np.empty(min(_BLOCK_ROWS, len(self.offsets)) * width, dtype=np.uint64)
+    def counter_cells(self, width: int) -> int:
+        """How many counters a block of up to width replicates takes."""
+        return min(_BLOCK_ROWS, len(self.offsets)) * width
 
     def fill(
         self, durations: list[np.ndarray], row_start: int, counters: np.ndarray

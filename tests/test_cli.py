@@ -17,7 +17,7 @@ import pytest
 from conftest import FIXTURE_DIR, read_fixture
 import stoched
 from stoched.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from stoched.errors import OptimizationFailed
+from stoched.errors import NonFiniteResult, OptimizationFailed
 from stoched.experiment import derive_seeds
 
 J30 = str(FIXTURE_DIR / "j30_fix_a.sm")
@@ -202,7 +202,33 @@ def test_experiment_failing_part_way_leaves_no_result_files(tmp_path, capsys, mo
     assert stdout == ""
     assert err.startswith("error:") and "injected failure" in err
     assert len(calls) == 5
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", ["none", "parent", "out"])
+@pytest.mark.parametrize(
+    "error, exit_code", [(MemoryError, EXIT_USAGE), (NonFiniteResult, EXIT_NUMERIC)]
+)
+@pytest.mark.parametrize("command", ["forecast", "update", "experiment"])
+def test_failed_run_removes_only_the_directories_it_made(
+    tmp_path, capsys, monkeypatch, command, error, exit_code, existing
+):
+    def fails(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(stoched.cli, "run_matrix" if command == "experiment" else "simulate", fails)
+    parent = tmp_path / "parent"
+    out = parent / "out"
+    if existing != "none":
+        (out if existing == "out" else parent).mkdir(parents=True)
+    code, stdout, err = run_cli(capsys, *_out_argv(tmp_path, command, out))
+    assert code == exit_code
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out.is_dir() == (existing == "out")
+    assert parent.is_dir() == (existing != "none")
+    if out.is_dir():
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -610,7 +636,7 @@ def _assert_numerical_failure(code, out, err, out_dir=None):
     assert err.startswith("error:") and "overflows" in err
     assert len(err.splitlines()) == 1
     if out_dir is not None:
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["forecast", "update", "experiment"])

@@ -11,7 +11,9 @@ one simulate call per model set.
 from __future__ import annotations
 
 import sys
+import threading
 import time
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -205,16 +207,38 @@ def _mixed_models(seed: int):
     return net, models
 
 
-def test_reused_buffers_match_a_per_chunk_reference(monkeypatch):
-    net, models = _mixed_models(73)
-    chunk, n_rep = 64, 64 * 12 + 23  # 13 chunks, the last one short
+def _per_chunk_reference(net, models, seed: int, n_rep: int, chunk: int):
+    """The samples and critical counts of one model set, from a fresh
+    sample_duration_matrix and cpm_batch per chunk of replicates."""
     samples, counts = [], 0
     for a in range(0, n_rep, chunk):
-        draws = sample_duration_matrix(net, models, 21, a, min(a + chunk, n_rep))
+        draws = sample_duration_matrix(net, models, seed, a, min(a + chunk, n_rep))
         batch = cpm_batch(net, draws)
         samples.append(batch.completion_time)
         counts = counts + batch.critical_mask.sum(axis=1)
-    samples = np.concatenate(samples)
+    return np.concatenate(samples), counts
+
+
+def _assert_matches(result: ForecastResult, reference) -> None:
+    samples, counts = reference
+    assert result.samples.tobytes() == samples.tobytes()
+    assert np.array_equal(result.critical_counts, counts)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty helper pool for the test, shut down after it."""
+    monkeypatch.setattr(simulate_module, "_pool", None)
+    monkeypatch.setattr(simulate_module, "_pool_size", 0)
+    yield
+    if simulate_module._pool is not None:
+        simulate_module._pool.shutdown(wait=True)
+
+
+def test_reused_buffers_match_a_per_chunk_reference(monkeypatch):
+    net, models = _mixed_models(73)
+    chunk, n_rep = 64, 64 * 12 + 23  # 13 chunks, the last one short
+    reference = _per_chunk_reference(net, models, 21, n_rep, chunk)
 
     # 17 activities make blocks of 3 rows and a last one of 2
     monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
@@ -226,11 +250,112 @@ def test_reused_buffers_match_a_per_chunk_reference(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3):
-            r = simulate(net, models, cfg, workers=workers)
-            assert r.samples.tobytes() == samples.tobytes()
-            assert np.array_equal(r.critical_counts, counts)
+            _assert_matches(simulate(net, models, cfg, workers=workers), reference)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_buffers_kept_between_calls_never_enter_results(monkeypatch, fresh_pool):
+    # A large call (3 sets, 40 activities, chunks of 128) leaves each
+    # thread a workspace larger than the later calls need, full of its
+    # values, and an overflowing call leaves it part-written.
+    rng = np.random.default_rng(91)
+    big_net = random_dag(rng, 40)
+    big_sets = [priors_from_baselines(rng.integers(1, 9, size=40), s) for s in (0.2, 0.4, 0.6)]
+    big_cfg = SimulationConfig(replicate_count=128 * 6 + 5, seed=8, target_completion=30.0)
+    big_references = [
+        _per_chunk_reference(big_net, m, 8, big_cfg.replicate_count, 128) for m in big_sets
+    ]
+    net, models = _mixed_models(73)
+    cfg = SimulationConfig(replicate_count=64 * 4 + 9, seed=21, target_completion=20.0)
+    reference = _per_chunk_reference(net, models, 21, cfg.replicate_count, 64)
+    # the last live activity overflows from z ~ 0.28, in the second block
+    overflowing = list(models)
+    last_live = max(i for i, m in enumerate(models) if not isinstance(m, FrozenDuration))
+    overflowing[last_live] = LognormalParams(mu=709.5, sigma=1.0)
+
+    def large_call(workers):
+        monkeypatch.setattr(simulate_module, "_CHUNK", 128)
+        for r, ref in zip(simulate_many(big_net, big_sets, big_cfg, workers), big_references):
+            _assert_matches(r, ref)
+
+    def small_call(workers):
+        monkeypatch.setattr(simulate_module, "_CHUNK", 64)
+        _assert_matches(simulate(net, models, cfg, workers), reference)
+
+    large_call(3)
+    threads = threading.active_count()
+    for workers in (1, 2, 3):
+        large_call(workers)
+        small_call(workers)
+        with pytest.raises(NonFiniteResult, match=f"^activity {last_live}: "):
+            simulate(net, overflowing, cfg, workers)
+        small_call(workers)
+        assert threading.active_count() == threads
+
+
+def test_a_call_does_not_wait_for_a_busy_pool(monkeypatch, fresh_pool):
+    # The pool's one thread waits on release, so the call's helper stays
+    # queued; a call that waited for it would return only once the timer
+    # sets release.
+    release = threading.Event()
+    timer = threading.Timer(10.0, release.set)
+    timer.start()
+    try:
+        blocker = simulate_module._submit_helpers(release.wait, 1)
+        net, models = _mixed_models(73)
+        monkeypatch.setattr(simulate_module, "_CHUNK", 64)
+        cfg = SimulationConfig(replicate_count=64 * 4 + 9, seed=21, target_completion=20.0)
+        result = simulate(net, models, cfg, workers=2)
+        returned_first = not release.is_set()
+    finally:
+        release.set()
+        timer.cancel()
+    assert returned_first
+    assert not wait(blocker, timeout=10).not_done
+    _assert_matches(result, _per_chunk_reference(net, models, 21, cfg.replicate_count, 64))
+
+
+def test_the_callers_own_error_propagates_and_stops_the_helpers(monkeypatch, fresh_pool):
+    # The calling thread's first chunk fails in the CPM pass; each helper
+    # draw takes 50 ms, so without a stop the helpers would draw all 40.
+    net = diamond()
+    models = priors_from_baselines([1.0, 2.0, 2.0, 1.0], 0.3)
+    chunk = 64
+    caller = threading.current_thread()
+    raised = threading.Event()
+    lock = threading.Lock()
+    late = {}  # chunk -> whether a helper first drew it after the caller raised
+    finished = []  # one entry per helper draw that returned
+
+    def fails_in_the_caller(*args, **kwargs):
+        if threading.current_thread() is caller:
+            raised.set()
+            raise RuntimeError("the caller's chunk fails")
+        return cpm_batch(*args, **kwargs)
+
+    def slow_in_helpers(key, counters, out=None):
+        if threading.current_thread() is caller:
+            return normals(key, counters, out)
+        with lock:
+            late.setdefault(int(counters.flat[0]) // (4 * chunk), raised.is_set())
+        time.sleep(0.05)
+        out = normals(key, counters, out)
+        finished.append(1)
+        return out
+
+    monkeypatch.setattr(simulate_module, "cpm_batch", fails_in_the_caller)
+    monkeypatch.setattr(simulate_module, "normals", slow_in_helpers)
+    monkeypatch.setattr(simulate_module, "_CHUNK", chunk)
+    cfg = SimulationConfig(replicate_count=chunk * 40, seed=3, target_completion=5.0)
+    with pytest.raises(RuntimeError, match="the caller's chunk fails"):
+        simulate(net, models, cfg, workers=3)
+    drawn = len(finished)
+    time.sleep(0.2)
+    assert len(finished) == drawn  # no helper was still drawing
+    # a helper may take one chunk between the raise and the stop
+    assert sum(late.values()) <= 2
+    assert len(late) <= 4
 
 
 def test_overflowing_draw_raises_non_finite_result():
