@@ -20,16 +20,18 @@ maximum (possible only if O / noise_sd > 2 sqrt(2) / sigma), a second node
 set sits there and a mixture rule splits the integrand between the two.
 Nodes carry their offset to the mode, so as noise_sd shrinks the result
 tends to log Lognormal(O; theta). It is smooth in theta, and computed row
-by row: no step reduces across rows.
+by row: no step reduces across rows. The same pass gives the nodes as a
+distribution of u = y - mu, whose moments are the likelihood's gradient
+and Hessian in (mu, ln sigma) (Louis 1982).
 
 The prior over theta is Normal on mu and Normal on ln sigma, centered at
 an activity's initial params. A PosteriorState keeps that prior and the
 combined record so far, so its size is constant, and each update is a
 one-row MAP from that prior, whatever the batching or order of records
 (up to the rounding of their combination). map_updates solves the
-updates of many activities in one damped Newton iteration, one
-quadrature call per iteration, with a coarse grid search for a problem
-that does not converge.
+updates of many activities in one damped Newton iteration on those exact
+derivatives, one quadrature row per problem and iteration, with a coarse
+grid search for a problem that does not converge.
 
 Sampling after an update uses Lognormal(theta_MAP) directly (plug-in
 predictive); parameter uncertainty around the MAP point is not
@@ -81,14 +83,12 @@ _LOG_SIGMA_LO = -30.0
 _LOG_SIGMA_HI = 20.0
 _LOG_SPAN_MAX = 700.0
 
-# Newton in (mu, ln sigma) on central differences of step _STENCIL (the
-# last point gives the cross term); a proposed step below _STEP_TOL ends it.
+# Newton in (mu, ln sigma) on exact derivatives; a proposed step below
+# _STEP_TOL, or one whose predicted gain is within _GAIN_ULPS ulp of
+# max(1, |value|), ends it.
 _NEWTON_MAXITER = 100
-_STENCIL = 1e-4
 _STEP_TOL = 1e-9
-_STENCIL_POINTS = _STENCIL * np.array(
-    [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]]
-)
+_GAIN_ULPS = 16.0
 
 _GRID_SIZE = 41  # fallback grid is 41 x 41
 
@@ -200,14 +200,18 @@ class _Frame:
 def _mode(frame: _Frame, lo: np.ndarray, hi: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The root of h' in [lo, hi], on which h' decreases from >= 0 to
     <= 0, from the start t: Newton steps, and bisection where a step would
-    leave the bracket or not halve the step before it. A row stops once its
-    own step is below _MODE_TOL curvature scales."""
+    leave the bracket or not halve the step before it. A row stops where
+    the Newton step from its t is below _MODE_TOL curvature scales; where
+    h'' >= 0 it has no such scale, and goes on."""
     t = np.clip(t, lo, hi)
     lo, hi = lo.copy(), hi.copy()
     last = hi - lo
     going = np.ones(t.shape, dtype=bool)
     for _ in range(_MODE_MAXITER):
         slope, curvature = frame.slopes(t)
+        going &= ~(np.abs(slope) <= _MODE_TOL * np.sqrt(-curvature))
+        if not going.any():
+            break
         up = slope > 0
         np.copyto(lo, t, where=going & up)
         np.copyto(hi, t, where=going & ~up)
@@ -217,9 +221,6 @@ def _mode(frame: _Frame, lo: np.ndarray, hi: np.ndarray, t: np.ndarray) -> np.nd
         moved = np.abs(new - t)
         np.copyto(t, new, where=going)
         np.copyto(last, moved, where=going)
-        going &= moved * np.sqrt(-curvature) > _MODE_TOL
-        if not going.any():
-            break
     return t
 
 
@@ -254,12 +255,13 @@ class _Center:
         return out
 
 
-def _node_sums(at: _Center, lower, upper, other: _Center | None = None) -> np.ndarray:
+def _node_sums(at: _Center, lower, upper, other: _Center | None = None):
     """Log integral of the integrand, with both densities' constants, by
     half-range rules below and above each row's center, of scales lower
-    and upper. other is a second node set on the same rows: the mixture
-    rule then gives this set the share of the integrand that its Gaussian
-    fit holds of the two."""
+    and upper; and the nodes as a distribution of u = y - mu, their
+    normalized weights and u (rows, 32). other is a second node set on the
+    same rows: the mixture rule then gives this set the share of the
+    integrand that its Gaussian fit holds of the two."""
     up = upper[:, None] * _HALF_NODES
     d = np.concatenate([-lower[:, None] * _HALF_NODES, at.stretch(up)], axis=1)
     terms = at.rise(d) + _LOG_WEIGHTS
@@ -270,8 +272,12 @@ def _node_sums(at: _Center, lower, upper, other: _Center | None = None) -> np.nd
         terms -= np.logaddexp(0.0, (other.h - at.h)[:, None] - 0.5 * fit * fit + _SQUARES)
     peak = np.max(terms, axis=1)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    total = np.log(np.exp(terms - peak[:, None]).sum(axis=1)) + peak
-    return np.where(at.h == -math.inf, -math.inf, at.h + total + at.frame.log_norm)
+    weights = np.exp(terms - peak[:, None])
+    total = weights.sum(axis=1)
+    weights /= total[:, None]
+    d += at.p[:, None]
+    value = np.where(at.h == -math.inf, -math.inf, at.h + np.log(total) + peak + at.frame.log_norm)
+    return value, weights, d
 
 
 def _side_scales(at: _Center) -> list[np.ndarray]:
@@ -284,9 +290,11 @@ def _side_scales(at: _Center) -> list[np.ndarray]:
     ]
 
 
-def _quadrature(values, noise, mu, sigma) -> np.ndarray:
+def _quadrature(values, noise, mu, sigma):
     """Log marginal likelihood of each observation row (values[i],
-    noise[i]) under its own (mu[i], sigma[i])."""
+    noise[i]) under its own (mu[i], sigma[i]), and each row's nodes as
+    _node_sums gives them (a mixture row's 64 nodes pad the others' 32
+    with zero weights)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         frame = _Frame(values, noise, mu, sigma)
         lo, hi = frame.lo.copy(), frame.hi.copy()
@@ -319,15 +327,20 @@ def _quadrature(values, noise, mu, sigma) -> np.ndarray:
         v = np.where(ratio < 0, 2.0 * pull / (root - ratio), 0.5 * (ratio + root))
         start = np.where(frame.sharp, linear, np.log(v) - frame.log_a)
         at = _Center(frame, _mode(frame, lo, hi, np.where(np.isnan(start), hi, start)))
-        out = _node_sums(at, *_side_scales(at))
+        out, weights, u = _node_sums(at, *_side_scales(at))
         if two.size:
             sub = frame.take(two)
             first, second = _Center(sub, at.t[two]), _Center(sub, other)
-            out[two] = np.logaddexp(
+            sums = [
                 _node_sums(first, *[math.sqrt(2.0) * first.scale] * 2, second),
                 _node_sums(second, *[math.sqrt(2.0) * second.scale] * 2, first),
-            )
-        return out
+            ]
+            out[two] = np.logaddexp(sums[0][0], sums[1][0])
+            # a mixture row's nodes are both sets, each weighted by its share
+            weights, u = (np.pad(array, ((0, 0), (0, _SQUARES.size))) for array in (weights, u))
+            weights[two] = np.hstack([w * np.exp(v - out[two])[:, None] for v, w, _ in sums])
+            u[two] = np.hstack([set_u for _, _, set_u in sums])
+        return out, weights, u
 
 
 def _inside_box(mu, log_sigma):
@@ -353,7 +366,7 @@ def marginal_log_likelihood(
     if not _inside_box(theta.mu, math.log(theta.sigma)):
         raise ValueError(f"theta {theta} lies outside the likelihood's domain")
     row = _quadrature(*np.array([[record.observed_duration], [record.noise_sd],
-                                 [theta.mu], [theta.sigma]]))
+                                 [theta.mu], [theta.sigma]]))[0]
     terms = [float(row[0]), math.log(record.noise_sd), (1 - len(obs)) * _LOG_SQRT_2PI]
     for o in obs:
         z = (o.observed_duration - record.observed_duration) / o.noise_sd
@@ -393,31 +406,67 @@ class _Problems:
         self.values = np.array([r.observed_duration for r in self.records])
         self.noise = np.array([r.noise_sd for r in self.records])
 
-    def objectives(self, ids: Sequence[int], x: np.ndarray) -> list[float]:
-        """Log-likelihood plus log-prior of problem ids[k] at
-        x[k] = (mu, ln sigma), -inf outside the box. The points in the box
-        share one quadrature call."""
-        ids = np.asarray(ids, dtype=np.intp)
+    def _evaluate(self, ids: np.ndarray, x: np.ndarray):
+        """Values at x[k] = (mu, ln sigma) of problem ids[k], -inf outside
+        the box, with which points lie inside and their quadrature nodes.
+        The points in the box share one quadrature call."""
         values = _log_priors(x, self.x0[ids], self.taus[ids])
         inside = _inside_box(x[:, 0], x[:, 1])
         rows = ids[inside]
-        values[inside] += _quadrature(
+        loglik, weights, u = _quadrature(
             self.values[rows], self.noise[rows], x[inside, 0], np.exp(x[inside, 1])
         )
+        values[inside] += loglik
         values[~inside] = -math.inf
-        return values.tolist()
+        return values, inside, weights, u
+
+    def objectives(self, ids: Sequence[int], x: np.ndarray) -> list[float]:
+        """Log-likelihood plus log-prior of problem ids[k] at
+        x[k] = (mu, ln sigma), -inf outside the box."""
+        return self._evaluate(np.asarray(ids, dtype=np.intp), x)[0].tolist()
+
+    def ascent(self, ids: np.ndarray, x: np.ndarray):
+        """The objectives' values at x, their gradients (points, 2) and
+        their negated Hessians [[a, b], [b, d]] in (mu, ln sigma); outside
+        the box, where the value is -inf, the prior's alone."""
+        values, inside, weights, u = self._evaluate(ids, x)
+        pulls = self.taus[ids] ** -2.0
+        g = -(x - self.x0[ids]) * pulls
+        a, b, d = pulls[:, 0].copy(), np.zeros(len(ids)), pulls[:, 1].copy()
+        for total, part in zip((g, a, b, d), _derivatives(weights, u, x[inside, 1])):
+            total[inside] += part
+        return values, g, a, b, d
 
 
-def _newton_step(f: np.ndarray) -> np.ndarray:
-    """Ascent steps from stencil values f (runs, 6): Newton on the
-    central-difference gradient and Hessian, with Levenberg damping where
-    the negated Hessian is not positive definite, scaled down to at most 1
-    in each coordinate. NaN where a value is not finite."""
-    h2 = _STENCIL * _STENCIL
-    g = np.stack([f[:, 1] - f[:, 2], f[:, 3] - f[:, 4]], axis=1) / (2.0 * _STENCIL)
-    a = (2.0 * f[:, 0] - f[:, 1] - f[:, 2]) / h2  # -H: mu mu, ln sigma ln sigma, cross
-    d = (2.0 * f[:, 0] - f[:, 3] - f[:, 4]) / h2
-    b = (f[:, 1] + f[:, 3] - f[:, 5] - f[:, 0]) / h2
+def _derivatives(weights, u, log_sigma):
+    """Gradient (rows, 2) and negated Hessian entries a, b, d in
+    (mu, ln sigma) of each row's log marginal likelihood, from the moments
+    of u = y - mu under its quadrature nodes (Louis 1982): the score of
+    Normal(y; mu, sigma) is s = (u / sigma^2, u^2 / sigma^2 - 1), the
+    gradient is E[s], and the Hessian is E[ds/dtheta] + Cov(s). NaN or
+    inf where the moments overflow."""
+    with np.errstate(all="ignore"):
+        m = np.einsum("ij,ij->i", weights, u)
+        v = u - m[:, None]
+        v2 = v * v
+        weighted = weights * v2
+        c2 = weighted.sum(axis=1)
+        c3, c4 = np.einsum("ij,ij->i", weighted, v), np.einsum("ij,ij->i", weighted, v2)
+        prec = np.exp(-2.0 * log_sigma)
+        second = c2 + m * m  # E[u^2]
+        var_u2 = c4 - c2 * c2 + 4.0 * m * (c3 + m * c2)  # Var(u^2)
+        g = np.stack([prec * m, prec * second - 1.0], axis=1)
+        a = prec - prec * prec * c2
+        b = 2.0 * prec * m - prec * prec * (c3 + 2.0 * m * c2)
+        d = 2.0 * prec * second - prec * prec * var_u2
+    return g, a, b, d
+
+
+def _newton_step(g: np.ndarray, a, b, d) -> np.ndarray:
+    """Ascent steps from gradients g (runs, 2) and negated Hessians
+    [[a, b], [b, d]]: Newton, with Levenberg damping where the negated
+    Hessian is not positive definite, scaled down to at most 1 in each
+    coordinate. NaN where a derivative is not finite."""
     lowest = 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)
     damping = np.where(lowest > 0, 0.0, 1e-3 * (1.0 + np.abs(a + d)) - lowest)
     a, d = a + damping, d + damping
@@ -428,30 +477,37 @@ def _newton_step(f: np.ndarray) -> np.ndarray:
 
 def _newton(problems: _Problems) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize every problem's objective from its x0 in lockstep, one
-    objective call per iteration over the stencils of the unfinished
+    ascent call per iteration at the trial points of the unfinished
     problems. A trial is accepted when its value does not drop; otherwise
-    its step is halved. A problem converges when its next step is below
-    _STEP_TOL; it stops unconverged at a -inf start (its step stays 0) or
-    where its derivatives are not finite. Returns the accepted points
-    (problems, 2), their values, and which converged."""
+    its step is halved. A problem converges when its step falls below
+    _STEP_TOL, or when the next Newton step's predicted gain, g . step / 2,
+    is within _GAIN_ULPS ulp of max(1, |value|): comparing values could
+    not check that step, so it is taken unevaluated if it stays in the
+    box. A problem stops unconverged at a -inf start (its step stays 0)
+    or where its derivatives are not finite. Returns the points
+    (problems, 2), the values at the last evaluated ones, and which
+    converged."""
     x, trial = problems.x0.copy(), problems.x0.copy()
     fx = np.full(len(x), -math.inf)
     step = np.zeros_like(x)
     converged = np.zeros(len(x), dtype=bool)
     active = np.arange(len(x))
     for _ in range(_NEWTON_MAXITER):
-        points = (trial[active][:, None, :] + _STENCIL_POINTS).reshape(-1, 2)
-        f = np.array(problems.objectives(np.repeat(active, 6), points)).reshape(-1, 6)
-        accept = (f[:, 0] >= fx[active]) & (f[:, 0] > -math.inf)
+        f, g, *hessian = problems.ascent(active, trial[active])
+        accept = (f >= fx[active]) & (f > -math.inf)
         taken = active[accept]
-        x[taken], fx[taken] = trial[taken], f[accept, 0]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step[taken] = _newton_step(f[accept])
+        x[taken], fx[taken] = trial[taken], f[accept]
+        with np.errstate(all="ignore"):
+            step[taken] = _newton_step(g[accept], *(h[accept] for h in hessian))
+            gain = 0.5 * np.einsum("ij,ij->i", g[accept], step[taken])
+            final = taken[gain <= _GAIN_ULPS * np.spacing(np.maximum(np.abs(f[accept]), 1.0))]
+        final = final[_inside_box(*(x[final] + step[final]).T)]
+        x[final] += step[final]
+        converged[final] = True
         step[active[~accept]] *= 0.5
         size = np.abs(step[active]).max(axis=1)
-        done = size < _STEP_TOL
-        converged[active[done & (fx[active] > -math.inf)]] = True
-        active = active[~(done | ~np.isfinite(size))]
+        converged[active[(size < _STEP_TOL) & (fx[active] > -math.inf)]] = True
+        active = active[~converged[active] & (size >= _STEP_TOL)]
         if not active.size:
             break
         trial[active] = x[active] + step[active]

@@ -61,7 +61,7 @@ from .durations import (
 from .errors import ConfigError, NonFiniteResult, NumericalError
 from .metrics import mae, rmse
 from .network import ProjectNetwork, compute_cpm
-from .rng import normals, stream_key
+from .rng import child_keys, normals, stream_key
 from .simulate import ForecastResult, SimulationConfig, simulate, simulate_many
 
 UNCERTAINTY_SIGMA = {"low": 0.1, "moderate": 0.3, "high": 0.5}
@@ -267,19 +267,16 @@ def generate_observations(
     observable during execution.
     """
     baselines = np.asarray(baseline_durations, dtype=np.float64)
-    observable = [i for i in range(net.activity_count) if baselines[i] > 0]
-    records = []
-    for i in sorted(observable, key=lambda i: (truth.earliest_finish[i], i)):
-        noise_sd = noise_fraction * float(baselines[i])
-        eps = float(normals(stream_key(seed, "obs", i), [0])[0])
-        records.append(
-            ObservationRecord(
-                activity=i,
-                observed_duration=float(truth.true_durations[i]) + noise_sd * eps,
-                noise_sd=noise_sd,
-            )
-        )
-    return records
+    observable = np.flatnonzero(baselines > 0)
+    eps = normals(child_keys(stream_key(seed, "obs"), observable), np.zeros(observable.size))
+    noise = noise_fraction * baselines[observable]
+    observed = truth.true_durations[observable] + noise * eps
+    order = np.argsort(truth.earliest_finish[observable], kind="stable")
+    return [
+        ObservationRecord(activity=int(observable[k]), observed_duration=float(observed[k]),
+                          noise_sd=float(noise[k]))
+        for k in order
+    ]
 
 
 def posterior_models(

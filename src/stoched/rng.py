@@ -5,7 +5,9 @@ derived by hashing a 64-bit seed with an arbitrary sequence of tokens
 (strings or integers), so independent streams can be addressed by intent,
 e.g. ``stream_key(seed, "obs", activity)``. Because draws are addressed
 rather than sequential, results are bit-identical no matter how work is
-chunked or how many threads consume a stream.
+chunked or how many threads consume a stream. ``child_keys`` derives the
+keys of many integer-indexed streams at once, and one ``normals`` call
+with that key array draws from each of them.
 
 The mixer is the splitmix64 finalizer applied twice: once to decorrelate
 the raw counter, once after keying. Uniforms are built from the top 53
@@ -82,11 +84,22 @@ def stream_key(seed: int, *tokens) -> int:
     return int(k[0])
 
 
-def uniforms(key: int, counters, out: np.ndarray | None = None) -> np.ndarray:
+def child_keys(key: int, indices) -> np.ndarray:
+    """The keys stream_key(seed, *tokens, i) of the integers i in
+    0..2^64-1 of indices, as a uint64 array of its shape, where key is
+    stream_key(seed, *tokens)."""
+    k = np.asarray(indices, dtype=np.uint64) ^ np.uint64(key)
+    k += _GOLDEN
+    _finalize(k, np.empty_like(k))
+    return k
+
+
+def uniforms(key, counters, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform(0,1) variates at the given counters; never exactly 0 or 1.
 
-    out, when given, is a float64 array of the counters' shape that
-    receives the variates and is returned.
+    key is one stream key, or a uint64 array of keys of the counters'
+    shape, one stream per variate. out, when given, is a float64 array
+    of the counters' shape that receives the variates and is returned.
     """
     c = np.asarray(counters, dtype=np.uint64)
     if out is None:
@@ -110,7 +123,7 @@ def uniforms(key: int, counters, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def normals(key: int, counters, out: np.ndarray | None = None) -> np.ndarray:
+def normals(key, counters, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal variates at the given counters, into out if given."""
     out = uniforms(key, counters, out)
     return ndtri(out, out=out)

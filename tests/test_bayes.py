@@ -146,6 +146,18 @@ def test_second_local_maximum_gets_its_own_node_set(sigma, k):
     assert value == pytest.approx(expected, rel=1e-4)
 
 
+def test_mode_search_does_not_stop_after_a_bisection_step():
+    # O / noise_sd = 6.6 at sigma 0.48 makes h non-concave, but it has one
+    # local maximum, below the lower inflection t-. The search starts at
+    # t-, where h'' is about 0: its first move is a bisection, and a stop
+    # rule measuring that move in curvature scales ended the search there,
+    # off the mode, with the value off by 1.5.
+    theta = LognormalParams(2.3168191406458654, 0.47774738577259435)
+    record = ObservationRecord(0, 417.5553327346333, 63.45242460695412)
+    expected = oracle_mll(theta, [record], span=12.0, nodes=2560)
+    assert marginal_log_likelihood(theta, [record]) == pytest.approx(expected, rel=1e-5)
+
+
 def test_likelihood_is_permutation_invariant_sum():
     theta = LognormalParams(2.3, 0.4)
     obs = [
@@ -332,6 +344,63 @@ def test_quadrature_at_the_edges_is_never_nan_and_matches_the_oracle(case):
 
 
 
+@st.composite
+def _smooth_row(draw):
+    """theta = (mu, ln sigma), sigma <= 1, and an observation where the
+    quadrature is accurate: a positive one within 3 sigma of the median
+    with noise_sd up to e^mu, or one at or below zero."""
+    mu = draw(st.floats(-3.0, 5.0))
+    log_sigma = draw(st.floats(-3.0, 0.0))
+    noise = math.exp(mu + draw(st.floats(-5.0, 0.0)))
+    observed = draw(st.one_of(
+        st.floats(-3.0, 3.0).map(lambda z: math.exp(mu + math.exp(log_sigma) * z)),
+        st.floats(-5.0, 1.0).map(lambda e: -math.exp(mu + e)),
+    ))
+    return observed, noise, mu, log_sigma
+
+
+def _quadrature_row(observed, noise, mu, log_sigma):
+    return bayes._quadrature(*np.array([[observed], [noise], [mu], [math.exp(log_sigma)]]))
+
+
+# Central differences of _quadrature: steps 1e-4 for the gradient and
+# 1e-3 for the second differences. Over 12,000 such rows the node moments
+# agreed with them to 3e-7 in the gradient, relative to max(1, |entry|),
+# and 2e-6 in the Hessian, relative to max(1, its largest entry): the
+# differences' own truncation error. Where the quadrature is inexact,
+# with two local maxima of comparable mass or noise_sd several times e^mu
+# at sigma near 1, the two differed by up to 4e-3 in the gradient, and
+# the moments were the nearer to a fine trapezoid's derivatives.
+_GRADIENT_TOL = 1e-6
+_HESSIAN_TOL = 1e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(_smooth_row())
+def test_node_moments_are_the_derivatives_of_the_quadrature(row):
+    observed, noise, mu, log_sigma = row
+    _, weights, u = _quadrature_row(*row)
+    g, a, b, d = bayes._derivatives(weights, u, np.array([log_sigma]))
+
+    def f(dmu, dlog_sigma):
+        return float(_quadrature_row(observed, noise, mu + dmu, log_sigma + dlog_sigma)[0][0])
+
+    h = 1e-4
+    expected = [(f(h, 0) - f(-h, 0)) / (2 * h), (f(0, h) - f(0, -h)) / (2 * h)]
+    for got, want in zip(g[0], expected):
+        assert abs(got - want) <= _GRADIENT_TOL * max(1.0, abs(want))
+    h = 1e-3
+    center = f(0, 0)
+    negated = [
+        (2 * center - f(h, 0) - f(-h, 0)) / h**2,
+        (f(h, -h) + f(-h, h) - f(h, h) - f(-h, -h)) / (4 * h**2),
+        (2 * center - f(0, h) - f(0, -h)) / h**2,
+    ]
+    scale = max(1.0, *map(abs, negated))
+    for got, want in zip((a[0], b[0], d[0]), negated):
+        assert abs(got - want) <= _HESSIAN_TOL * scale
+
+
 # ----------------------------------------------------------------- log_prior
 
 
@@ -403,6 +472,31 @@ def test_grid_fallback_recovers_when_newton_starts_at_minus_inf(monkeypatch):
     assert math.isfinite(post.params.mu) and math.isfinite(post.params.sigma)
     assert abs(post.params.mu) <= 200.0
     assert post.observation_count == 1
+
+
+def test_overflowing_moments_end_the_run_unconverged_and_warn_nothing(monkeypatch):
+    # Node offsets scaled by 1e100 overflow the fourth moment: the run
+    # stops unconverged, the grid fallback takes over, and no floating
+    # point warning escapes (pytest turns one into an error).
+    quadrature = bayes._quadrature
+
+    def overflowing(*args):
+        values, weights, u = quadrature(*args)
+        return values, weights, u * 1e100
+
+    calls = []
+    grid_argmax = bayes._grid_argmax
+    monkeypatch.setattr(bayes, "_quadrature", overflowing)
+    monkeypatch.setattr(bayes, "_grid_argmax", lambda *args: calls.append(args) or grid_argmax(*args))
+    state = PosteriorState(from_baseline(10.0, 0.3))
+    obs = (ObservationRecord(0, 12.0, 0.5),)
+    problems = bayes._Problems([(state, obs)])
+    _, g, a, b, d = problems.ascent(np.array([0]), problems.x0)
+    assert not np.isfinite([*g[0], a[0], b[0], d[0]]).all()
+    _, values, converged = bayes._newton(problems)
+    assert not converged[0] and math.isfinite(values[0])
+    post = map_update(state, obs)
+    assert len(calls) == 1 and math.isfinite(post.params.mu)
 
 
 @pytest.mark.parametrize("cap", [1, 4])
@@ -539,14 +633,23 @@ def _update_pair(draw):
         ],
     )
 )
+@example(
+    (
+        PosteriorState(LognormalParams(0.0, 0.5), 0, 0.5, 0.5),
+        [ObservationRecord(0, math.exp(4.0), math.exp(4.0) / 8.5)],
+    )
+)
 def test_newton_reaches_scipy_nelder_mead_on_the_same_objective(pair):
     # The gate that let Newton replace Nelder-Mead: the objective at the
     # MAP point is never worse than scipy's Nelder-Mead finds, less 1e-6
     # relative to max(1, |objective|) (objectives reach 1e18 in
-    # magnitude, where 1e-6 is below one ulp). Both examples had two local
-    # maxima in (mu, ln sigma) while each record marginalized its own
-    # duration, and Newton from the prior's center missed the higher one
-    # in the second; as one combined record they have one.
+    # magnitude, where 1e-6 is below one ulp). The first two examples had
+    # two local maxima in (mu, ln sigma) while each record marginalized its
+    # own duration, and Newton from the prior's center missed the higher
+    # one in the second; as one combined record they have one. The third
+    # starts where the integrand has two local maxima of comparable mass
+    # (sigma 0.5, O / noise_sd 8.5, ln O = mu + 8 sigma), where the
+    # quadrature is off by up to 1.5e-4.
     state, records = pair
     try:
         post = map_update(state, records)
@@ -556,6 +659,27 @@ def test_newton_reaches_scipy_nelder_mead_on_the_same_objective(pair):
     assume(math.isfinite(reference.fun))
     value = marginal_log_likelihood(post.params, records) + log_prior(post.params, state)
     assert value >= -reference.fun - 1e-6 * max(1.0, abs(reference.fun))
+
+
+@pytest.mark.parametrize("taus", [(0.5, 0.5), (0.01, 0.5), (10.0, 0.5), (0.3, 0.8)])
+def test_newton_maximizes_the_exact_objective_where_the_quadrature_is_off(taus):
+    # A wide prior under a broad observation factor (sigma 5.8, O = -0.01,
+    # noise_sd 100 e^mu): the quadrature's value is off by about 6e-4
+    # relative there, and its central differences by 0.08 in ln sigma.
+    # Newton follows the node moments, which agree with a fine trapezoid's
+    # derivatives to 7e-4, so Nelder-Mead on the quadrature's value finds
+    # a point up to 1.3e-4 (relative) higher on that value; on the exact
+    # objective, the log-space trapezoid, the MAP point is the higher.
+    state = PosteriorState(LognormalParams(0.0, 5.8), 0, *taus)
+    record = ObservationRecord(0, -0.01, 100.0)
+    post = map_update(state, [record])
+    reference = reference_nelder_mead(state, (record,))
+    found = LognormalParams(reference.x[0], math.exp(reference.x[1]))
+
+    def exact(theta):
+        return oracle_at_or_below_zero(theta, record) + log_prior(theta, state)
+
+    assert exact(post.params) >= exact(found)
 
 
 @settings(max_examples=8, deadline=None)
@@ -572,6 +696,27 @@ def test_map_update_does_not_depend_on_its_batch(pairs, random):
     together = map_updates([pair for pair, _ in alone])
     assert together == [state for _, state in alone]
     assert map_updates([pair for pair, _ in shuffled]) == [state for _, state in shuffled]
+
+
+def test_map_point_is_where_the_newton_step_vanishes():
+    # Scenario-grid updates (tau 0.30/0.80, noise_sd 10 % of the
+    # baseline): each run's last step, whose gain the value cannot
+    # resolve, is taken unevaluated, so the MAP point is the zero of the
+    # exact gradient to rounding (3.7e-15 over 300 such cases). Stopping
+    # one step short left up to 7e-8.
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        baseline = float(rng.uniform(5.0, 20.0))
+        state = PosteriorState(from_baseline(baseline, 0.3), tau_mu=0.3, tau_log_sigma=0.8)
+        obs = tuple(
+            ObservationRecord(0, baseline * float(rng.uniform(0.5, 2.0)), 0.1 * baseline)
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        post = map_update(state, obs)
+        problems = bayes._Problems([(state, obs)])
+        x = np.array([[post.params.mu, math.log(post.params.sigma)]])
+        _, g, a, b, d = problems.ascent(np.array([0]), x)
+        assert np.abs(bayes._newton_step(g, a, b, d)).max() <= 1e-12
 
 
 def test_optimizer_beats_grid_on_random_cases():
@@ -722,12 +867,13 @@ def test_combined_mean_neither_overflows_nor_depends_on_order():
 
 
 # Sequential and batch updates solve objectives whose combined records
-# differ in the last bits. Each Newton run stops within its 1e-9 step
-# tolerance of the fixed point of its central differences, but rounding
-# in the stencil values (step 1e-4) moves that fixed point: over 6,000
-# random cases of 1-6 records the two routes differed by at most 2.3e-8
-# in mu or ln sigma. The tolerance is 1e-7.
-_SEQUENTIAL_TOL = 1e-7
+# differ in the last bits. Newton follows exact derivatives, and its last
+# step, whose predicted gain is below the value's rounding, is taken
+# unevaluated, so each run ends at its gradient's zero to within a few
+# ulp: over 28,000 random cases of 1-6 records, and 3,000 drawn by this
+# test's strategy, the two routes differed by at most 8.0e-15 in mu or
+# ln sigma. The tolerance is 1e-13.
+_SEQUENTIAL_TOL = 1e-13
 
 
 @settings(max_examples=30, deadline=None)

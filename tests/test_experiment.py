@@ -41,7 +41,7 @@ from stoched.experiment import (
 )
 from stoched.network import compute_cpm
 from stoched.psplib import parse_sm, to_network
-from stoched.rng import stream_key
+from stoched.rng import normals, stream_key
 from stoched.simulate import ForecastResult
 
 
@@ -243,6 +243,24 @@ def test_observation_noise_is_seed_stable(j30):
     _, a = _observations(net, baselines, "moderate", 10)
     _, b = _observations(net, baselines, "moderate", 10)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [0, 10, 2**63 - 1, 2**63, 2**64 - 1])
+def test_observations_are_the_per_activity_draws_bit_for_bit(j30, seed):
+    # One noise draw for all activities gives each the variate it had from
+    # its own stream, counter 0 of stream_key(seed, "obs", i).
+    net, baselines = j30
+    truth, records = _observations(net, baselines, "moderate", seed)
+    observable = [i for i in range(net.activity_count) if baselines[i] > 0]
+    expected = []
+    for i in sorted(observable, key=lambda i: (truth.earliest_finish[i], i)):
+        noise_sd = OBS_NOISE_FRACTION["moderate"] * float(baselines[i])
+        eps = float(normals(stream_key(seed, "obs", i), [0])[0])
+        observed = float(truth.true_durations[i]) + noise_sd * eps
+        expected.append(ObservationRecord(i, observed, noise_sd))
+    assert [(r.activity, r.observed_duration.hex(), r.noise_sd.hex()) for r in records] == [
+        (r.activity, r.observed_duration.hex(), r.noise_sd.hex()) for r in expected
+    ]
 
 
 # ---------------------------------------------------------------- run_method

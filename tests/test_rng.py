@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import _splitmix64_finalize, splitmix64_uniform
-from stoched.rng import normals, stream_key, uniforms
+from stoched.rng import child_keys, normals, stream_key, uniforms
 
 
 def test_stream_key_is_deterministic_and_token_sensitive():
@@ -120,3 +120,15 @@ def test_normals_into_out_match_fresh_arrays(strided):
         assert draw(key, counters, out=out) is out
         assert out.tobytes() == draw(key, counters).tobytes()
         assert np.array_equal(counters, before)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1])
+def test_child_keys_are_the_stream_keys_of_each_index(seed):
+    indices = np.array([0, 1, 2, 31, 2**40, 2**63, 2**64 - 1], dtype=np.uint64)
+    keys = child_keys(stream_key(seed, "obs"), indices)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [stream_key(seed, "obs", int(i)) for i in indices]
+    # an array of keys draws each variate from its own stream
+    drawn = normals(keys, np.zeros(indices.size, dtype=np.uint64))
+    alone = [normals(stream_key(seed, "obs", int(i)), [0])[0] for i in indices]
+    assert drawn.tobytes() == np.array(alone).tobytes()
