@@ -182,10 +182,12 @@ def _resolve_target(text: str, deterministic_makespan: float) -> float:
 
 
 def _read_text(path: str, digests: dict) -> str:
-    """path's text from one read, whose sha256 goes into digests[path]."""
+    """path's text from one read, whose sha256 goes into digests[path].
+    A leading UTF-8 byte order mark, as Excel and Notepad write, is not
+    part of the text; the digest is of the bytes as read."""
     try:
         data = Path(path).read_bytes()
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:

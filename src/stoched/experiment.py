@@ -20,15 +20,11 @@ activity has one observation, delivered in ground-truth earliest-finish
 order: none delivers none of them, periodic and continuous all of them
 before the only scored forecast. So the Bayes methods forecast the
 priors under none, and under periodic and continuous the scenario's one
-posterior, one MAP update per observed activity. A Scenario also
-memoizes that posterior and its forecasts, so each distinct one is
-computed once for all of its cells: static_mc and full_framework/none
-share the prior forecast, and bayes_no_propagation and full_framework
-share the posterior. run_matrix computes a scenario's distinct sampled
-forecasts (the priors' and the posterior's) in one simulate_many call,
-so they share one draw pass: the same normals, hashed once, as common
-random numbers. Each forecast past the first costs one more duration
-matrix per worker.
+posterior, one MAP update per observed activity. A scenario's cells
+share their forecasts: each distinct one is computed once, in one
+simulate_many call per replicate count, so the sampled forecasts (the
+priors' and the posterior's) share one draw pass, the same normals
+hashed once as common random numbers, and the point forecasts another.
 
 Known limitation: periodic and continuous rows are therefore equal in
 every field but the strategy; the strategy axis only separates them
@@ -45,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,7 +58,7 @@ from .errors import ConfigError, NonFiniteResult, NumericalError
 from .metrics import mae, rmse
 from .network import ProjectNetwork, compute_cpm
 from .rng import child_keys, normals, stream_key
-from .simulate import ForecastResult, SimulationConfig, simulate, simulate_many
+from .simulate import ForecastResult, SimulationConfig, simulate_many
 
 UNCERTAINTY_SIGMA = {"low": 0.1, "moderate": 0.3, "high": 0.5}
 OBS_NOISE_FRACTION = {"low": 0.05, "moderate": 0.10, "high": 0.20}
@@ -176,12 +172,7 @@ class GridConfig:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One (instance, uncertainty, seed) and everything its cells share.
-
-    memo holds the posterior, under "posterior", and the forecasts, keyed
-    by their models and replicate count, so cells that need one compute
-    it once.
-    """
+    """One (instance, uncertainty, seed) and everything its cells share."""
 
     instance_name: str
     net: ProjectNetwork
@@ -192,7 +183,6 @@ class Scenario:
     sim_cfg: SimulationConfig  # its target_completion is the delay target
     truth: GroundTruth
     observations: list[ObservationRecord]
-    memo: dict = field(default_factory=dict, repr=False)
 
 
 def make_scenario(
@@ -301,49 +291,47 @@ def posterior_models(
     return posterior
 
 
-def _posterior(scenario: Scenario, strategy: str) -> list[DurationModel]:
-    """The priors under none. periodic and continuous both deliver every
-    observation before the only scored forecast, so they share the
-    scenario's one posterior."""
-    if strategy == "none":
-        return scenario.priors
-    if "posterior" not in scenario.memo:
-        scenario.memo["posterior"] = posterior_models(
-            scenario.priors, scenario.observations, PRIOR_TAU_MU, PRIOR_TAU_LOG_SIGMA
-        )
-    return scenario.memo["posterior"]
+def _scenario_forecasts(
+    scenario: Scenario, cells: Sequence[tuple[str, str]], workers: int
+) -> list[ForecastResult]:
+    """The forecast of each (strategy, method) cell of one scenario.
 
-
-def _cell_models(
-    scenario: Scenario, strategy: str, method: str
-) -> tuple[list[DurationModel], int]:
-    """The models a cell forecasts, and with how many replicates: a point
-    method forecasts one replicate over frozen durations."""
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    if method == "deterministic_cpm":
-        models = [FrozenDuration(float(d)) for d in scenario.baselines]
-    elif method == "static_mc":
+    A point method forecasts one replicate over frozen durations. The
+    posterior is computed once, and only if a Bayes cell under periodic
+    or continuous needs it (both deliver every observation before the
+    only scored forecast). Cells with the same models share one forecast,
+    and the distinct ones of each replicate count come from one
+    simulate_many call, so they share one draw pass.
+    """
+    posterior = None
+    distinct: dict[int, dict] = {}  # replicates -> {cell key: models}
+    keys = []
+    for strategy, method in cells:
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r}")
+        if strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {strategy!r}")
         models = scenario.priors
-    elif method == "bayes_no_propagation":
-        means = map(expected_duration, _posterior(scenario, strategy))
-        models = [FrozenDuration(d) for d in means]
-    else:
-        models = _posterior(scenario, strategy)
-    replicates = 1 if method in POINT_METHODS else scenario.sim_cfg.replicate_count
-    return models, replicates
-
-
-def _forecast(
-    scenario: Scenario, models: list[DurationModel], replicates: int, workers: int
-) -> ForecastResult:
-    key = (tuple(models), replicates)
-    if key not in scenario.memo:
+        if method in ("bayes_no_propagation", "full_framework") and strategy != "none":
+            if posterior is None:
+                posterior = posterior_models(
+                    scenario.priors, scenario.observations, PRIOR_TAU_MU, PRIOR_TAU_LOG_SIGMA
+                )
+            models = posterior
+        if method == "deterministic_cpm":
+            models = [FrozenDuration(float(d)) for d in scenario.baselines]
+        elif method == "bayes_no_propagation":
+            models = [FrozenDuration(expected_duration(m)) for m in models]
+        replicates = 1 if method in POINT_METHODS else scenario.sim_cfg.replicate_count
+        key = (replicates, tuple(models))
+        distinct.setdefault(replicates, {}).setdefault(key, models)
+        keys.append(key)
+    forecasts = {}
+    for replicates, sets in distinct.items():
         cfg = replace(scenario.sim_cfg, replicate_count=replicates)
-        scenario.memo[key] = _shared(simulate(scenario.net, models, cfg, workers))
-    return scenario.memo[key]
+        results = simulate_many(scenario.net, list(sets.values()), cfg, workers)
+        forecasts.update(zip(sets, map(_shared, results)))
+    return [forecasts[key] for key in keys]
 
 
 def _shared(result: ForecastResult) -> ForecastResult:
@@ -354,46 +342,11 @@ def _shared(result: ForecastResult) -> ForecastResult:
     return result
 
 
-def _sampled_forecasts(
-    scenario: Scenario, strategies: Sequence[str], methods: Sequence[str], workers: int
-) -> None:
-    """Store in memo the distinct forecasts at the configured replicate
-    count that the cells of these strategies and methods score, from one
-    simulate_many call over them in grid order. A posterior or a call
-    that fails stores nothing: the cells that need it compute it on their
-    own, so the failure surfaces at the first of them, as if every cell
-    computed alone."""
-    distinct: dict = {}
-    for strategy in strategies:
-        for method in methods:
-            try:
-                models, replicates = _cell_models(scenario, strategy, method)
-            except NumericalError:
-                continue
-            if replicates == scenario.sim_cfg.replicate_count:
-                distinct.setdefault((tuple(models), replicates), models)
-    try:
-        forecasts = simulate_many(
-            scenario.net, list(distinct.values()), scenario.sim_cfg, workers
-        )
-    except NumericalError:
-        return
-    scenario.memo.update(zip(distinct, map(_shared, forecasts)))
-
-
-def run_method(
-    scenario: Scenario, strategy: str, method: str, workers: int = 1
-) -> tuple[ExperimentRow, ForecastResult]:
-    """Score one method under one strategy in one scenario.
-
-    Returns the row plus the final forecast. A point method's forecast
-    is one replicate whose sample is the CPM makespan of its durations.
-    """
-    models, replicates = _cell_models(scenario, strategy, method)
-    forecast = _forecast(scenario, models, replicates, workers)
-
+def _row(
+    scenario: Scenario, strategy: str, method: str, forecast: ForecastResult
+) -> ExperimentRow:
     t_true = scenario.truth.t_true
-    row = ExperimentRow(
+    return ExperimentRow(
         scenario.instance_name,
         method,
         strategy,
@@ -406,7 +359,18 @@ def run_method(
         forecast.delay_probability,
         forecast.ci90_width,
     )
-    return row, forecast
+
+
+def run_method(
+    scenario: Scenario, strategy: str, method: str, workers: int = 1
+) -> tuple[ExperimentRow, ForecastResult]:
+    """Score one method under one strategy in one scenario.
+
+    Returns the row plus the final forecast. A point method's forecast
+    is one replicate whose sample is the CPM makespan of its durations.
+    """
+    [forecast] = _scenario_forecasts(scenario, [(strategy, method)], workers)
+    return _row(scenario, strategy, method, forecast), forecast
 
 
 def run_matrix(
@@ -417,11 +381,13 @@ def run_matrix(
 
     on_result, when given, is called with (row, forecast) after each cell
     so callers can stream per-cell payloads (histograms). The scenarios
-    of one (instance, uncertainty) are built once and live until the loop
-    moves to the next uncertainty, and with them every distinct forecast
-    they memoize. Each scenario computes its sampled forecasts in one
-    draw pass before its first cell.
+    of one (instance, uncertainty) are built, and each one's forecasts
+    computed, before the first of their cells, and live until the loop
+    moves to the next uncertainty. A scenario whose forecasts fail runs
+    each of its cells alone, so a failing grid raises the error of its
+    first failing cell, after on_result has seen every cell before it.
     """
+    cells = [(strategy, method) for strategy in grid.strategies for method in grid.methods]
     rows = []
     for name, net, baselines in grid.instances:
         for uncertainty in grid.uncertainties:
@@ -437,15 +403,22 @@ def run_matrix(
                 )
                 for seed in grid.seeds
             ]
+            forecasts = []
             for scenario in scenarios:
-                _sampled_forecasts(scenario, grid.strategies, grid.methods, workers)
-            for strategy in grid.strategies:
-                for method in grid.methods:
-                    for scenario in scenarios:
+                try:
+                    forecasts.append(_scenario_forecasts(scenario, cells, workers))
+                except NumericalError:
+                    forecasts.append(None)
+            for c, (strategy, method) in enumerate(cells):
+                for scenario, computed in zip(scenarios, forecasts):
+                    if computed is None:
                         row, forecast = run_method(scenario, strategy, method, workers)
-                        rows.append(row)
-                        if on_result is not None:
-                            on_result(row, forecast)
+                    else:
+                        forecast = computed[c]
+                        row = _row(scenario, strategy, method, forecast)
+                    rows.append(row)
+                    if on_result is not None:
+                        on_result(row, forecast)
     return rows
 
 

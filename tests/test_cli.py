@@ -19,6 +19,7 @@ import stoched
 from stoched.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from stoched.errors import NonFiniteResult, OptimizationFailed
 from stoched.experiment import derive_seeds
+from stoched.rng import stream_key
 
 J30 = str(FIXTURE_DIR / "j30_fix_a.sm")
 
@@ -181,27 +182,28 @@ def test_failed_write_removes_the_files_already_written(tmp_path, capsys, comman
 def test_experiment_failing_part_way_leaves_no_result_files(tmp_path, capsys, monkeypatch):
     import stoched.experiment
 
-    simulate = stoched.experiment.simulate
+    simulate_many = stoched.experiment.simulate_many
     calls = []
 
-    # Each seed's sampled forecasts come from one draw pass before its
-    # cells, so simulate makes only the point forecasts: calls 1-4 are
-    # those of the none-strategy cells of both seeds, whose
-    # full_framework cells emit histograms, and call 5 is the first
-    # continuous-strategy cell.
-    def fails_on_fifth_call(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 5:
+    # Seed 2's sampled forecasts fail. Each seed's forecasts come from one
+    # simulate_many call per replicate count, the point forecasts first;
+    # seed 2's sampled call fails, so its cells run alone in grid order,
+    # and the run fails at its none/full_framework cell, after seed 1's
+    # full_framework cell has emitted a histogram.
+    def fails_for_seed_2(net, model_sets, cfg, workers=1):
+        calls.append(cfg.replicate_count)
+        if cfg.replicate_count > 1 and cfg.seed == stream_key(2, "mc"):
             raise OptimizationFailed("injected failure")
-        return simulate(*args, **kwargs)
+        return simulate_many(net, model_sets, cfg, workers)
 
-    monkeypatch.setattr(stoched.experiment, "simulate", fails_on_fifth_call)
+    monkeypatch.setattr(stoched.experiment, "simulate_many", fails_for_seed_2)
     out = tmp_path / "results"
     code, stdout, err = run_cli(capsys, *_out_argv(tmp_path, "experiment", out))
     assert code == EXIT_NUMERIC
     assert stdout == ""
     assert err.startswith("error:") and "injected failure" in err
-    assert len(calls) == 5
+    # seed 1, seed 2, then seed 2's none cells alone
+    assert calls == [1, 50, 1, 50, 1, 1, 50]
     assert not out.exists()
 
 
@@ -528,6 +530,39 @@ def test_crlf_config_and_instance_run_like_lf(tmp_path, capsys):
     for name in ("results.csv", "results.jsonl"):
         assert (tmp_path / "crlf" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
     assert stdout_json(capsys, "parse", str(sm)) == stdout_json(capsys, "parse", J30)
+
+
+@pytest.mark.parametrize("kind", ["config", "site_log", "sm"])
+def test_utf8_bom_input_runs_like_the_plain_file(tmp_path, capsys, kind):
+    # Excel and Notepad exports start with a UTF-8 byte order mark
+    runs = {}
+    for variant, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        folder = tmp_path / variant
+        folder.mkdir()
+        sm = folder / "j30_fix_a.sm"
+        sm.write_bytes((bom if kind == "sm" else b"") + Path(J30).read_bytes())
+        if kind == "config":
+            changed = folder / "exp.conf"
+            changed.write_bytes(bom + EXPERIMENT_CONFIG.replace(J30, sm.name).encode())
+            argv, names = ["experiment", str(changed)], ["results.csv", "results.jsonl"]
+        elif kind == "site_log":
+            changed = folder / "site.log"
+            changed.write_bytes(bom + b"1 9.5 0.5\n2 4.0 0.5\n")
+            argv, names = ["update", str(sm), str(changed), "--n", "200"], ["result.json"]
+        else:
+            changed = sm
+            argv, names = ["forecast", str(sm), "--n", "200"], ["result.json"]
+        out = folder / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out), "--threads", "1")
+        assert code == EXIT_OK, err
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the digest is of the raw bytes, byte order mark included
+        assert manifest["inputs"][str(changed)] == hashlib.sha256(changed.read_bytes()).hexdigest()
+        runs[variant] = (
+            stdout.replace(str(folder), "DIR"),
+            [(out / name).read_bytes() for name in names],
+        )
+    assert runs["bom"] == runs["plain"]
 
 
 def test_experiment_config_errors(tmp_path, capsys):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import stoched.experiment
+import stoched.simulate
 from conftest import diamond, read_fixture
 from stoched.bayes import ObservationRecord, PosteriorState, map_update
 from stoched.durations import LognormalParams, is_frozen, priors_from_baselines
-from stoched.errors import ConfigError, NonFiniteResult
+from stoched.errors import ConfigError, NonFiniteResult, OptimizationFailed
 from stoched.experiment import (
     CSV_HEADER,
     METHODS,
@@ -320,7 +321,7 @@ def test_periodic_and_continuous_rows_are_equal(j30):
     # the only scored forecast, so their rows differ only in the strategy.
     # ROADMAP items 3 and 9 break this on purpose, by scoring forecasts at
     # report times mid-project. Each strategy runs on its own scenario, so
-    # the equality does not come from a shared memo.
+    # the equality does not come from a posterior or forecast they share.
     net, baselines = j30
     for method in METHODS:
         periodic, continuous = (
@@ -428,7 +429,7 @@ def test_run_matrix_row_order_and_callback():
 def _count_calls(
     monkeypatch,
     names=(
-        "simulate",
+        "simulate_many",
         "map_updates",
         "generate_ground_truth",
         "generate_observations",
@@ -483,29 +484,25 @@ def shared_grid(j30):
 def shared_matrix(shared_grid):
     """run_matrix on j30 with calls counted per (uncertainty, seed).
 
-    A scenario's truth and observations are built, and its sampled
-    forecasts computed, before its first cell; every other call belongs
-    to the cell that on_result reports next."""
+    A scenario's truth and observations are built, and its forecasts
+    computed, before its first cell; every other call belongs to the cell
+    that on_result reports next. simulate_many calls are also counted by
+    replicate count, with the model sets they forecast."""
     cells = []
     per_seed: dict[tuple[str, int], dict] = {}
     with pytest.MonkeyPatch.context() as mp:
         counts = _count_calls(mp)
-        counts.update(sampled_simulate=0, draw_passes=0, sampled_forecasts=0)
-        simulate = stoched.experiment.simulate
+        counts.update(sampled_calls=0, sampled_sets=0, point_calls=0, point_sets=0)
         simulate_many = stoched.experiment.simulate_many
-        sampled_forecasts = stoched.experiment._sampled_forecasts
+        scenario_forecasts = stoched.experiment._scenario_forecasts
 
-        def count_sampled(net, models, cfg, workers=1):
-            counts["sampled_simulate"] += cfg.replicate_count > 1
-            return simulate(net, models, cfg, workers)
-
-        def count_draw_passes(net, model_sets, cfg, workers=1):
-            counts["draw_passes"] += 1
-            counts["sampled_forecasts"] += len(model_sets)
+        def count_sets(net, model_sets, cfg, workers=1):
+            kind = "point" if cfg.replicate_count == 1 else "sampled"
+            counts[f"{kind}_calls"] += 1
+            counts[f"{kind}_sets"] += len(model_sets)
             return simulate_many(net, model_sets, cfg, workers)
 
-        mp.setattr(stoched.experiment, "simulate", count_sampled)
-        mp.setattr(stoched.experiment, "simulate_many", count_draw_passes)
+        mp.setattr(stoched.experiment, "simulate_many", count_sets)
         seen = dict(counts)
 
         def charge(key):
@@ -525,11 +522,12 @@ def shared_matrix(shared_grid):
 
         mp.setattr(stoched.experiment, "make_scenario", counted_scenario)
 
-        def counted_sampled_forecasts(scenario, *args):
-            sampled_forecasts(scenario, *args)
+        def counted_forecasts(scenario, *args):
+            forecasts = scenario_forecasts(scenario, *args)
             charge((scenario.uncertainty, scenario.seed))
+            return forecasts
 
-        mp.setattr(stoched.experiment, "_sampled_forecasts", counted_sampled_forecasts)
+        mp.setattr(stoched.experiment, "_scenario_forecasts", counted_forecasts)
 
         rows = run_matrix(shared_grid, on_result=on_result)
     return rows, cells, per_seed
@@ -566,29 +564,68 @@ def test_run_matrix_computes_each_seed_once(j30, shared_grid, shared_matrix):
         (u, s) for u in sorted(shared_grid.uncertainties) for s in SHARED_SEEDS
     ]
     for tally in per_seed.values():
-        # one draw pass for the prior forecast (static_mc,
-        # full_framework/none) and one posterior forecast (periodic and
-        # continuous agree), and no sampled forecast on its own
-        assert tally["draw_passes"] == 1
-        assert tally["sampled_forecasts"] == 2
-        assert tally["sampled_simulate"] == 0
-        # so simulate makes only the one-replicate point forecasts: the
-        # baselines, the prior means (15 of j30's differ from their
-        # baseline in the last bit) and the updated posterior means
-        assert tally["simulate"] == 3
+        # one simulate_many call per replicate count: one draw pass for
+        # the prior forecast (static_mc, full_framework/none) and the
+        # posterior forecast (periodic and continuous agree), and one
+        # call for the one-replicate point forecasts: the baselines, the
+        # prior means (15 of j30's differ from their baseline in the last
+        # bit) and the posterior means
+        assert tally["simulate_many"] == 2
+        assert (tally["sampled_calls"], tally["sampled_sets"]) == (1, 2)
+        assert (tally["point_calls"], tally["point_sets"]) == (1, 3)
         assert tally["map_updates"] == observed
         # one realization and one set of observations for all 12 cells
         assert tally["generate_ground_truth"] == 1
         assert tally["generate_observations"] == 1
         # CPM on the baselines (the delay target) and on the truth; point
-        # forecasts run through simulate
+        # forecasts run through simulate_many
         assert tally["compute_cpm"] == 2
 
 
 def test_full_framework_simulates_only_the_final_posterior(monkeypatch):
-    counts = _count_calls(monkeypatch, names=("simulate", "map_updates"))
+    counts = _count_calls(monkeypatch, names=("simulate_many", "map_updates"))
     run_method(_diamond_scenario(4, 50), "continuous", "full_framework")
-    assert counts == {"simulate": 1, "map_updates": len(DIAMOND_BASELINES)}
+    assert counts == {"simulate_many": 1, "map_updates": len(DIAMOND_BASELINES)}
+
+
+def test_failing_grid_raises_the_first_failing_cells_error(j30, monkeypatch):
+    # Seed 5's posterior fails and seed 6's sampled forecasts fail, so
+    # neither scenario's forecasts can be computed together. Cells of
+    # seed 5 that need no posterior still run, and the grid stops at the
+    # first failing cell in grid order: seed 6's static_mc under none.
+    net, baselines = j30
+    grid = GridConfig(
+        instances=(("j30", net, baselines),),
+        seeds=(5, 6),
+        uncertainties=("low",),
+        replicate_count=100,
+    )
+    seed_5_records = make_scenario("j30", net, baselines, "low", 5, 100, 1.0).observations
+    posterior_models = stoched.experiment.posterior_models
+
+    def fails_for_seed_5(priors, records, *args):
+        if list(records) == seed_5_records:
+            raise OptimizationFailed("seed 5")
+        return posterior_models(priors, records, *args)
+
+    monkeypatch.setattr(stoched.experiment, "posterior_models", fails_for_seed_5)
+    for module in (stoched.experiment, stoched.simulate):
+        simulate_many = vars(module)["simulate_many"]
+
+        def fails_for_seed_6(net, model_sets, cfg, workers=1, _simulate_many=simulate_many):
+            if cfg.replicate_count > 1 and cfg.seed == stream_key(6, "mc"):
+                raise NonFiniteResult("seed 6")
+            return _simulate_many(net, model_sets, cfg, workers)
+
+        monkeypatch.setattr(module, "simulate_many", fails_for_seed_6)
+    seen = []
+    with pytest.raises(NonFiniteResult, match="seed 6"):
+        run_matrix(grid, on_result=lambda row, _: seen.append((row.strategy, row.method, row.seed)))
+    assert seen == [
+        ("none", "deterministic_cpm", 5),
+        ("none", "deterministic_cpm", 6),
+        ("none", "static_mc", 5),
+    ]
 
 
 def test_grid_config_requires_instances_and_seeds():
