@@ -65,6 +65,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
+# Each worker is an OS thread that keeps a workspace of up to about 16 MB
+# (a j120 forecast), so a thread count above this is refused.
+MAX_THREADS = 64
+_THREADS_HELP = f"worker count, 1 to {MAX_THREADS}, or 'auto'"
 
 
 def main(argv=None) -> int:
@@ -112,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a scenario matrix")
     p_exp.add_argument("config", help="key = value experiment config file")
     p_exp.add_argument("--out", required=True, help="output directory")
-    p_exp.add_argument("--threads", default="auto", help="worker count or 'auto'")
+    p_exp.add_argument("--threads", default="auto", help=_THREADS_HELP)
     p_exp.set_defaults(handler=cmd_experiment)
 
     return parser
@@ -132,7 +136,7 @@ def _add_forecast_flags(p: argparse.ArgumentParser) -> None:
         help="delay target; 'auto' = deterministic CPM makespan",
     )
     p.add_argument("--out", default=None, help="directory for result files")
-    p.add_argument("--threads", default="auto", help="worker count or 'auto'")
+    p.add_argument("--threads", default="auto", help=_THREADS_HELP)
 
 
 def _resolve_sigma(text: str) -> float:
@@ -159,13 +163,13 @@ def _resolve_threads(text: str) -> int:
         text = os.environ["STOCHED_THREADS"]
         source = f"STOCHED_THREADS={text!r}"
     else:
-        return os.cpu_count() or 1
+        return min(os.cpu_count() or 1, MAX_THREADS)
     try:
         value = int(text)
     except ValueError:
         raise ConfigError(f"{source} is not an integer") from None
-    if value < 1:
-        raise ConfigError(f"{source} must be >= 1")
+    if not 1 <= value <= MAX_THREADS:
+        raise ConfigError(f"{source} must be from 1 to {MAX_THREADS}")
     return value
 
 

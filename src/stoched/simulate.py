@@ -2,17 +2,22 @@
 
 Each replicate draws one duration per stochastic activity and runs the
 CPM kernel; completion times and per-replicate critical sets are
-aggregated into a ForecastResult. Draws are addressed by (replicate,
-activity) counters on a stream keyed by the config seed, and replicates
-are processed in fixed-size chunks whose results land in preallocated
-index-ordered arrays, so the output is bit-identical for any worker
-count. Criticality counts are integers and sum exactly.
+aggregated into a ForecastResult. Replicates 2m and 2m + 1 are an
+antithetic pair: activity i's normal z sits at counter m*n + i of a
+stream keyed by the config seed, and the even replicate reads z, the odd
+one -z, so each pass hashes and inverts half as many normals as it uses.
+Draws are addressed by counter, and replicates are processed in
+fixed-size chunks whose results land in preallocated index-ordered
+arrays, so the output is bit-identical for any worker count. Chunks are
+4096 wide, so a pair never straddles two, and an odd replicate count
+leaves its last replicate unpaired. Criticality counts are integers and
+sum exactly.
 
 simulate_many forecasts several model sets (per-activity model lists)
 of one network from one draw pass. Every set reads the same normal at
 each (replicate, activity) counter, so they are forecast under common
-random numbers, and each chunk hashes and inverts its normals once for
-all of them. simulate is its one-set call.
+random numbers, and each chunk hashes and inverts its pairs' normals
+once for all of them. simulate is its one-set call.
 
 A call runs one worker in the calling thread and up to workers - 1 on
 helper threads of one pool that every call shares, made on first use
@@ -25,17 +30,18 @@ views for every chunk it takes. A thread so holds (sets + 3) x
 activities x 4096 x 8 bytes plus 512 KB of counters for its largest
 call, about 16 MB for a j120 forecast, and a call's memory does not
 grow with N. A chunk's draws are made one block of _BLOCK_ROWS
-activities at a time: hashed into the first set's rows of the block,
-exponentiated from there into each later set's rows, then transformed
-in place, all while the block is in cache. Every buffer cell a chunk
-reads was written for that chunk, so reused buffers never enter
-results, in this call or a later one. Once a chunk fails, no worker
-takes a new one, and the failure of the lowest failed chunk is raised:
-chunks are taken in index order, so every lower chunk has run. When the
-calling thread's worker returns or raises, the call hands out no more
-chunks, cancels the helpers that have not started and waits for the
-others, so it never waits on a queued helper and no helper draws after
-it returns.
+activities at a time: the pairs' normals hashed into the second half of
+the counter block, written with their negations into the first set's
+rows of the block, exponentiated from there into each later set's rows,
+then transformed in place, all while the block is in cache. Every
+buffer cell a chunk reads was written for that chunk, so reused buffers
+never enter results, in this call or a later one. Once a chunk fails, no
+worker takes a new one, and the failure of the lowest failed chunk is
+raised: chunks are taken in index order, so every lower chunk has run.
+When the calling thread's worker returns or raises, the call hands out
+no more chunks, cancels the helpers that have not started and waits for
+the others, so it never waits on a queued helper and no helper draws
+after it returns.
 """
 
 from __future__ import annotations
@@ -236,11 +242,12 @@ def sample_duration_matrix(
     """Duration draws of replicates row_start..row_stop-1, one column each.
 
     The matrix is activity-major, (activities, replicates), as cpm_batch
-    takes it. Cell (i, k) is drawn at counter k*n + i of the seed's "sim"
-    stream: addressing by absolute replicate and activity keeps chunking
-    out of the results. Frozen activities keep their constant, and no
-    other cell's draw depends on them. simulate draws each chunk through
-    the same _Sampler.fill.
+    takes it. Cell (i, k) reads the normal at counter (k // 2)*n + i of
+    the seed's "sim" stream, negated for odd k: addressing by absolute
+    replicate and activity keeps chunking out of the results, and a slice
+    may start or stop inside a pair. Frozen activities keep their
+    constant, and no other cell's draw depends on them. simulate draws
+    each chunk through the same _Sampler.fill.
     """
     durations = np.empty((net.activity_count, row_stop - row_start))
     sampler = _Sampler([per_activity], seed)
@@ -277,28 +284,41 @@ class _Sampler:
         self.key = stream_key(seed, "sim")
 
     def counter_cells(self, width: int) -> int:
-        """How many counters a block of up to width replicates takes."""
-        return min(_BLOCK_ROWS, len(self.offsets)) * width
+        """How many counters a block of up to width replicates takes: a
+        slice from any replicate spans at most width // 2 + 1 pairs, and
+        each pair's normal takes a counter cell and a target cell."""
+        return min(_BLOCK_ROWS, len(self.offsets)) * 2 * (width // 2 + 1)
 
     def fill(
         self, durations: list[np.ndarray], row_start: int, counters: np.ndarray
     ) -> None:
         """Write replicates row_start.. into durations, one (activities,
-        replicates) matrix per set. Each block's normals are hashed into
-        the first set's rows; every later set that draws in the block
-        exponentiates its own rows from them, and then the first set's
-        rows are transformed in place: exp(0) on a frozen row until its
-        constant overwrites it. Raises NonFiniteResult if a draw
-        overflows, for the first block and, in it, the first set."""
+        replicates) matrix per set. Replicates 2m and 2m + 1 are an
+        antithetic pair: activity i reads the normal z at counter m*n + i
+        in the first and -z in the second. Each block's pair normals are
+        hashed into the second half of counters, then written into the
+        first set's rows, z to even replicates and -z to odd ones; every
+        later set that draws in the block exponentiates its own rows from
+        them, and then the first set's rows are transformed in place:
+        exp(0) on a frozen row until its constant overwrites it. Raises
+        NonFiniteResult if a draw overflows, for the first block and, in
+        it, the first set."""
         n, width = durations[0].shape
-        replicate_base = np.arange(row_start, row_start + width, dtype=np.uint64)
-        replicate_base *= np.uint64(n)
+        first_pair = row_start // 2
+        pair_count = (row_start + width - 1) // 2 - first_pair + 1
+        pair_base = np.arange(first_pair, first_pair + pair_count, dtype=np.uint64)
+        pair_base *= np.uint64(n)
+        even = row_start % 2  # the first column of an even replicate
         with np.errstate(over="ignore"):
             for a, b, sets in self.blocks:
                 z = durations[0][a:b]
-                c = counters[: z.size].reshape(z.shape)
-                np.add(replicate_base, self.offsets[a:b], out=c)
-                normals(self.key, c, out=z)
+                cells = z.shape[0] * pair_count
+                c = counters[:cells].reshape(z.shape[0], pair_count)
+                pairs = counters[cells : 2 * cells].view(np.float64).reshape(c.shape)
+                np.add(pair_base, self.offsets[a:b], out=c)
+                normals(self.key, c, out=pairs)
+                z[:, even::2] = pairs[:, even : even + (width - even + 1) // 2]
+                np.negative(pairs[:, : (width + even) // 2], out=z[:, 1 - even :: 2])
                 # set 0 last, as its rows hold z; each set's rows are
                 # bit-equal to exp(mu + sigma * z): + and * commute
                 for j in reversed(sets):

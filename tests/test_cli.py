@@ -16,7 +16,16 @@ import pytest
 
 from conftest import FIXTURE_DIR, read_fixture
 import stoched
-from stoched.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from stoched import simulate as simulate_module
+from stoched.cli import (
+    EXIT_INPUT,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_THREADS,
+    _resolve_threads,
+    main,
+)
 from stoched.errors import NonFiniteResult, OptimizationFailed
 from stoched.experiment import derive_seeds
 from stoched.rng import stream_key
@@ -279,6 +288,39 @@ def test_threads_env_fallback(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "forecast", J30, "--n", "500")
     assert code == EXIT_USAGE
     assert "STOCHED_THREADS" in err
+
+
+@pytest.mark.parametrize("from_env", [False, True])
+@pytest.mark.parametrize("command", ["forecast", "experiment"])
+def test_thread_count_above_the_cap_exits_before_any_thread_starts(
+    tmp_path, capsys, monkeypatch, command, from_env
+):
+    # each worker is an OS thread with its own workspace: 65 is refused
+    # before --out is made and before a helper is submitted
+    def no_helpers(*args):
+        raise AssertionError("helper threads were submitted")
+
+    monkeypatch.setattr(simulate_module, "_submit_helpers", no_helpers)
+    out = tmp_path / "out"
+    argv = _out_argv(tmp_path, command, out)
+    at = argv.index("--threads")
+    if from_env:
+        monkeypatch.setenv("STOCHED_THREADS", "65")
+        del argv[at : at + 2]
+    else:
+        argv[at + 1] = "65"
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert ("STOCHED_THREADS" if from_env else "--threads") in err and "64" in err
+    assert not out.exists()
+
+
+def test_thread_counts_up_to_the_cap_are_kept_and_auto_stays_within_it(monkeypatch):
+    monkeypatch.delenv("STOCHED_THREADS", raising=False)
+    assert _resolve_threads("64") == MAX_THREADS == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: 128)
+    assert _resolve_threads("auto") == MAX_THREADS
 
 
 # -------------------------------------------------------------------- update

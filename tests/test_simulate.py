@@ -175,11 +175,34 @@ def test_frozen_activities_do_not_perturb_live_draw_alignment():
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[2], b[2])
     assert np.all(b[1] == 5.0)
-    # every live cell (i, k) is the draw at counter k*n + i of the "sim" stream
+    # every live cell (i, k) is the draw at counter (k // 2)*n + i of the
+    # "sim" stream, negated for odd k
     key = stream_key(9, "sim")
-    for k, i in [(0, 0), (0, 2), (7, 1), (19, 2)]:
-        z = normals(key, [k * 3 + i])
+    for k, i in [(0, 0), (0, 2), (7, 1), (7, 2), (19, 2)]:
+        z = normals(key, [k // 2 * 3 + i]) * (-1.0 if k % 2 else 1.0)
         assert a[i, k] == np.exp(live[i].mu + live[i].sigma * z)[0]
+
+
+def test_odd_slice_bounds_read_each_pairs_one_normal(monkeypatch):
+    # A model with sigma negated reads sigma * (-z) where the model reads
+    # sigma * z, bit for bit; so if each odd replicate reads the negation
+    # of its even partner's normal, replicate k of one is replicate k ^ 1
+    # of the other. Slices from odd replicates leave partners outside.
+    monkeypatch.setattr(simulate_module, "_BLOCK_ROWS", 3)  # 3 blocks of 7 rows
+    net = build_network(7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (3, 6), (5, 6)])
+    models = priors_from_baselines([3.0, 4.0, 5.0, 6.0, 2.0, 7.0, 1.0], 0.4)
+    models[4] = FrozenDuration(2.5)
+    negated = [
+        m if isinstance(m, FrozenDuration) else LognormalParams(m.mu, -m.sigma)
+        for m in models
+    ]
+    for start, stop in ((25, 33), (25, 34), (24, 33), (7, 8), (0, 1)):
+        part = sample_duration_matrix(net, models, 3, start, stop)
+        partners = sample_duration_matrix(net, negated, 3, start - start % 2, stop + stop % 2)
+        for k in range(start, stop):
+            assert np.array_equal(part[:, k - start], partners[:, (k ^ 1) - start + start % 2])
+        full = sample_duration_matrix(net, models, 3, 0, stop)
+        assert np.array_equal(part, full[:, start:])
 
 
 def test_input_validation():
@@ -253,6 +276,51 @@ def test_reused_buffers_match_a_per_chunk_reference(monkeypatch):
             _assert_matches(simulate(net, models, cfg, workers=workers), reference)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n_rep", [4097, 8193])
+def test_odd_replicate_counts_match_a_per_chunk_reference_at_an_odd_chunk(n_rep):
+    # 4096-wide chunks leave the last replicate unpaired; 63-wide reference
+    # chunks split pairs, so each of their odd bounds draws a partner's
+    # normal again
+    net, models = _mixed_models(73)
+    reference = _per_chunk_reference(net, models, 21, n_rep, 63)
+    cfg = SimulationConfig(replicate_count=n_rep, seed=21, target_completion=20.0)
+    for workers in (1, 3):
+        _assert_matches(simulate(net, models, cfg, workers=workers), reference)
+
+
+def _plain_mc_samples(net, models, seed: int, n_rep: int) -> np.ndarray:
+    """Completion times with no pairs: replicate k of activity i reads
+    the normal at counter k*n + i of the seed's "sim" stream."""
+    n = net.activity_count
+    counters = np.add.outer(np.arange(n, dtype=np.uint64), np.arange(n_rep, dtype=np.uint64) * n)
+    z = normals(stream_key(seed, "sim"), counters)
+    live = [not isinstance(m, FrozenDuration) for m in models]
+    mu = np.array([[m.mu if d else 0.0] for m, d in zip(models, live)])
+    sigma = np.array([[m.sigma if d else 0.0] for m, d in zip(models, live)])
+    durations = np.exp(mu + sigma * z)
+    for i, m in enumerate(models):
+        if not live[i]:
+            durations[i] = m.value
+    return cpm_batch(net, durations).completion_time
+
+
+def test_pairs_do_not_raise_the_variance_of_the_mean_or_the_delay_probability():
+    # Over 40 seeds at equal N, the across-seed variances of E[T] and
+    # P(T > t) under pairs are at most plain MC's times the one-sided
+    # 1 % F bound, F_0.99(39, 39) = scipy.stats.f.ppf(0.99, 39, 39).
+    f_bound = 2.1352
+    net, baselines = to_network(parse_sm(read_fixture("j120_fix_a.sm")))
+    models = priors_from_baselines(baselines, 0.3)
+    n_rep, seeds = 2048, range(1, 41)
+    plain = np.array([_plain_mc_samples(net, models, s, n_rep) for s in seeds])
+    paired = np.array([
+        simulate(net, models, SimulationConfig(n_rep, s, 0.0)).samples for s in seeds
+    ])
+    target = float(np.quantile(plain, 0.9))  # t at plain MC's pooled q90
+    for stat in (lambda x: x.mean(axis=1), lambda x: (x > target).mean(axis=1)):
+        assert np.var(stat(paired), ddof=1) <= f_bound * np.var(stat(plain), ddof=1)
 
 
 def test_buffers_kept_between_calls_never_enter_results(monkeypatch, fresh_pool):
@@ -338,7 +406,8 @@ def test_the_callers_own_error_propagates_and_stops_the_helpers(monkeypatch, fre
         if threading.current_thread() is caller:
             return normals(key, counters, out)
         with lock:
-            late.setdefault(int(counters.flat[0]) // (4 * chunk), raised.is_set())
+            # chunk c's first block reads its chunk / 2 pairs from counter 4 * c * chunk / 2
+            late.setdefault(int(counters.flat[0]) // (2 * chunk), raised.is_set())
         time.sleep(0.05)
         out = normals(key, counters, out)
         finished.append(1)
@@ -427,7 +496,9 @@ def _overflowing_at_top_draws(activities, monkeypatch, on_draw):
     the chunk of each activity's overflow."""
     net = diamond()
     chunk, n_rep, seed = 64, 64 * 8, 4
-    z = normals(stream_key(seed, "sim"), np.arange(n_rep * 4)).reshape(n_rep, 4)
+    # replicates 2m and 2m + 1 read the pair normal at counters 4m.. and its negation
+    pairs = normals(stream_key(seed, "sim"), np.arange(n_rep * 2)).reshape(n_rep // 2, 4)
+    z = np.stack([pairs, -pairs], axis=1).reshape(n_rep, 4)
     models = priors_from_baselines([1.0, 2.0, 2.0, 0.0], 0.3)
     overflow_chunk = {}
     for i in activities:
@@ -437,7 +508,8 @@ def _overflowing_at_top_draws(activities, monkeypatch, on_draw):
         overflow_chunk[i] = int(np.argmax(z[:, i])) // chunk
 
     def wrapped(key, counters, out=None):
-        on_draw(int(counters.flat[0]) // (4 * chunk))
+        # chunk c's first block reads its chunk / 2 pairs from counter 4 * c * chunk / 2
+        on_draw(int(counters.flat[0]) // (2 * chunk))
         return normals(key, counters, out)
 
     monkeypatch.setattr(simulate_module, "normals", wrapped)
@@ -447,19 +519,20 @@ def _overflowing_at_top_draws(activities, monkeypatch, on_draw):
 
 
 def test_first_failure_is_the_lowest_chunks_at_any_worker_count(monkeypatch):
-    # Activity 2 overflows in an earlier chunk than activity 1, and that
-    # chunk draws slowly, so with more than one worker activity 1's chunk
-    # fails first.
-    def slow_in_activity_2s_chunk(index):
-        if index == overflow_chunk[2]:
+    # One of activities 1 and 2 overflows in an earlier chunk than the
+    # other, and that chunk draws slowly, so with more than one worker
+    # the later chunk fails first.
+    def slow_in_the_earlier_chunk(index):
+        if index == overflow_chunk[first]:
             time.sleep(0.05)
 
     net, models, cfg, overflow_chunk = _overflowing_at_top_draws(
-        (1, 2), monkeypatch, slow_in_activity_2s_chunk
+        (1, 2), monkeypatch, slow_in_the_earlier_chunk
     )
-    assert overflow_chunk[2] < overflow_chunk[1]
+    first, later = sorted((1, 2), key=overflow_chunk.get)
+    assert overflow_chunk[first] < overflow_chunk[later]
     for workers in (1, 2, 3):
-        with pytest.raises(NonFiniteResult, match="^activity 2: "):
+        with pytest.raises(NonFiniteResult, match=f"^activity {first}: "):
             simulate(net, models, cfg, workers=workers)
 
 
