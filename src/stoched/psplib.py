@@ -7,6 +7,10 @@ durations from the REQUESTS/DURATIONS table. Resource columns and
 availabilities are skipped without validation. Lines are parsed by
 whitespace token splitting, not column offsets: the files are roughly
 column-aligned but not reliably so across generator versions.
+
+Both job tables are read through _job_rows, which applies the row checks
+they share and counts job coverage; the graph is checked only where it is
+built, in to_network.
 """
 
 from __future__ import annotations
@@ -40,10 +44,13 @@ class PsplibInstance:
 
 
 def parse_sm(text, instance_name: str = "") -> PsplibInstance:
-    """Parse .sm text (str or bytes) into a validated PsplibInstance.
+    """Parse .sm text (str or bytes) into a PsplibInstance.
 
-    Raises MalformedHeader, MalformedPrecedenceRow, MalformedDurationRow,
-    JobCountMismatch, or CycleDetected/DuplicateEdge from graph validation.
+    Raises MalformedHeader (job count, non-ASCII bytes), then per table
+    MalformedPrecedenceRow or MalformedDurationRow (the shared row checks
+    of _job_rows, then a bad successor list, or a negative duration or one
+    too large for a double) and JobCountMismatch. Graph errors
+    (CycleDetected, DuplicateEdge, InvalidEdge) come from to_network.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -56,14 +63,12 @@ def parse_sm(text, instance_name: str = "") -> PsplibInstance:
     successors = _parse_precedence(lines, job_count)
     durations = _parse_durations(lines, job_count)
 
-    inst = PsplibInstance(
+    return PsplibInstance(
         instance_name=instance_name,
         job_count=job_count,
         durations=durations,
         successors=successors,
     )
-    to_network(inst)  # validates acyclicity and edge sanity at parse time
-    return inst
 
 
 def _parse_job_count(lines: list[str]) -> int:
@@ -110,70 +115,62 @@ def _section_rows(lines: list[str], marker: str, error_cls) -> list[tuple[int, l
     raise error_cls(f"section {marker!r} not terminated before end of file")
 
 
-def _parse_precedence(lines: list[str], job_count: int) -> tuple[tuple[int, ...], ...]:
-    successors: dict[int, tuple[int, ...]] = {}
-    for lineno, tokens in _section_rows(lines, _PRECEDENCE_MARKER, MalformedPrecedenceRow):
+def _job_rows(lines, marker, error_cls, table, columns, job_count):
+    """Yield (line number, ints) for each row of one job table, checked for
+    integer tokens, three leading columns, a job in 1..job_count and no
+    repeated job. Distinct in-range jobs cover 1..job_count exactly when
+    there are job_count of them, so coverage is counted, not built.
+    """
+    seen: set[int] = set()
+    for lineno, tokens in _section_rows(lines, marker, error_cls):
         try:
             ints = [int(t) for t in tokens]
         except ValueError as exc:
-            raise MalformedPrecedenceRow(
-                f"line {lineno}: non-numeric token in precedence row"
-            ) from exc
+            raise error_cls(f"line {lineno}: non-numeric token in {table} row") from exc
         if len(ints) < 3:
-            raise MalformedPrecedenceRow(
-                f"line {lineno}: expected jobnr, #modes, #successors"
-            )
-        job, _modes, n_succ = ints[0], ints[1], ints[2]
-        succ = ints[3:]
+            raise error_cls(f"line {lineno}: expected jobnr, {columns}")
+        job = ints[0]
+        if not 1 <= job <= job_count:
+            raise error_cls(f"line {lineno}: job number {job} outside 1..{job_count}")
+        if job in seen:
+            raise error_cls(f"line {lineno}: duplicate row for job {job}")
+        seen.add(job)
+        yield lineno, ints
+    if len(seen) != job_count:
+        raise JobCountMismatch(
+            f"{table} table covers {len(seen)} jobs, header declares {job_count}"
+        )
+
+
+def _parse_precedence(lines: list[str], job_count: int) -> tuple[tuple[int, ...], ...]:
+    successors: dict[int, tuple[int, ...]] = {}
+    rows = _job_rows(lines, _PRECEDENCE_MARKER, MalformedPrecedenceRow, "precedence",
+                     "#modes, #successors", job_count)
+    for lineno, ints in rows:
+        n_succ, succ = ints[2], ints[3:]
         if n_succ < 0 or len(succ) != n_succ:
             raise MalformedPrecedenceRow(
                 f"line {lineno}: row declares {n_succ} successors, lists {len(succ)}"
             )
-        if not 1 <= job <= job_count:
-            raise MalformedPrecedenceRow(
-                f"line {lineno}: job number {job} outside 1..{job_count}"
-            )
         if any(not 1 <= s <= job_count for s in succ):
-            raise MalformedPrecedenceRow(
-                f"line {lineno}: successor outside 1..{job_count}"
-            )
-        if job in successors:
-            raise MalformedPrecedenceRow(f"line {lineno}: duplicate row for job {job}")
-        successors[job] = tuple(succ)
-    if set(successors) != set(range(1, job_count + 1)):
-        raise JobCountMismatch(
-            f"precedence table covers {len(successors)} jobs, header declares {job_count}"
-        )
+            raise MalformedPrecedenceRow(f"line {lineno}: successor outside 1..{job_count}")
+        successors[ints[0]] = tuple(succ)
     return tuple(successors[j] for j in range(1, job_count + 1))
 
 
 def _parse_durations(lines: list[str], job_count: int) -> tuple[int, ...]:
     durations: dict[int, int] = {}
-    for lineno, tokens in _section_rows(lines, _DURATIONS_MARKER, MalformedDurationRow):
-        try:
-            ints = [int(t) for t in tokens]
-        except ValueError as exc:
-            raise MalformedDurationRow(
-                f"line {lineno}: non-numeric token in duration row"
-            ) from exc
-        if len(ints) < 3:
-            raise MalformedDurationRow(
-                f"line {lineno}: expected jobnr, mode, duration"
-            )
-        job, _mode, duration = ints[0], ints[1], ints[2]
-        if not 1 <= job <= job_count:
-            raise MalformedDurationRow(
-                f"line {lineno}: job number {job} outside 1..{job_count}"
-            )
+    rows = _job_rows(lines, _DURATIONS_MARKER, MalformedDurationRow, "duration",
+                     "mode, duration", job_count)
+    for lineno, ints in rows:
+        duration = ints[2]
         if duration < 0:
             raise MalformedDurationRow(f"line {lineno}: negative duration {duration}")
-        if job in durations:
-            raise MalformedDurationRow(f"line {lineno}: duplicate row for job {job}")
-        durations[job] = duration
-    if set(durations) != set(range(1, job_count + 1)):
-        raise JobCountMismatch(
-            f"duration table covers {len(durations)} jobs, header declares {job_count}"
-        )
+        try:
+            float(duration)
+        except OverflowError:
+            raise MalformedDurationRow(f"line {lineno}: duration too large for a double") from None
+        durations[ints[0]] = duration
     return tuple(durations[j] for j in range(1, job_count + 1))
 
 

@@ -395,7 +395,7 @@ def test_10_parser_accepts_fixtures_and_rejects_corruptions():
     ]
     for text, error_cls in corruptions:
         with pytest.raises(error_cls):
-            parse_sm(text)
+            to_network(parse_sm(text))
     print(
         "acceptance 10 parser fixtures and corruption corpus: PASS "
         f"(6 fixtures, {len(corruptions)} corruptions)"

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import FIXTURE_DIR, read_fixture
 import stoched
+from stoched import psplib as psplib_module
 from stoched import simulate as simulate_module
 from stoched.cli import (
     EXIT_INPUT,
@@ -751,6 +752,40 @@ def test_overflowing_makespan_is_numerical_failure(tmp_path, capsys):
     instance = _huge_durations(tmp_path, {2: 10**308, 5: 10**308})
     code, out, err = run_cli(capsys, "parse", instance)
     _assert_numerical_failure(code, out, err)
+
+
+def test_duration_too_large_for_a_double_is_input_error(tmp_path, capsys):
+    # a 400-digit duration cannot become a float baseline: a row error, not
+    # a traceback; one that fits a double but overflows the sum is exit 4 above
+    instance = _huge_durations(tmp_path, {2: 10**399})
+    code, out, err = run_cli(capsys, "parse", instance)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: line 56: duration too large for a double\n"
+
+
+def test_huge_header_job_count_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.sm"
+    bad.write_text(read_fixture("j30_fix_a.sm").replace("):  32", "):  1000000000000"))
+    code, out, err = run_cli(capsys, "parse", str(bad))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == (
+        "error: precedence table covers 32 jobs, header declares 1000000000000\n"
+    )
+
+
+def test_parse_builds_the_network_once(monkeypatch, capsys):
+    calls = []
+    real = psplib_module.build_network
+
+    def counting(n, edges):
+        calls.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(psplib_module, "build_network", counting)
+    stdout_json(capsys, "parse", J30)
+    assert calls == [32]
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import importlib.util
+import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, FIXTURE_JOB_COUNTS, read_fixture
 from stoched.errors import (
     CycleDetected,
+    InputError,
     JobCountMismatch,
     MalformedDurationRow,
     MalformedHeader,
@@ -123,6 +127,15 @@ def test_non_integer_duration():
         parse_sm(text)
 
 
+def test_duration_too_large_for_a_double():
+    text = read_fixture("j30_fix_a.sm").replace(
+        "   2     1        4     1    4    0   10",
+        "   2     1  " + "9" * 400 + "     1    4    0   10",
+    )
+    with pytest.raises(MalformedDurationRow, match="^line 56: duration too large"):
+        parse_sm(text)
+
+
 def test_declared_job_count_mismatch():
     text = read_fixture("j30_fix_a.sm").replace(
         "jobs (incl. supersource/sink ):  32",
@@ -139,7 +152,7 @@ def test_cycle_between_jobs():
         "  29        1            1          5",
     )
     with pytest.raises(CycleDetected):
-        parse_sm(text)
+        to_network(parse_sm(text))
 
 
 def test_durations_preserve_layer_values():
@@ -147,3 +160,56 @@ def test_durations_preserve_layer_values():
     _, baselines = to_network(inst)
     real = baselines[1:-1]
     assert np.all(real >= 2) and np.all(real <= 9)
+
+
+def _token_rows(lines: list[str]) -> list[int]:
+    """Indices of the job-count header line and of every job-table row."""
+    rows = [next(i for i, line in enumerate(lines) if line.startswith("jobs (incl."))]
+    for marker in ("PRECEDENCE RELATIONS", "REQUESTS/DURATIONS"):
+        i = next(i for i, line in enumerate(lines) if line.startswith(marker)) + 1
+        while not lines[i].startswith("*"):
+            if lines[i].split()[0].isdigit():
+                rows.append(i)
+            i += 1
+    return rows
+
+
+_FIXTURE_LINES = {name: read_fixture(name).splitlines() for name in sorted(FIXTURE_JOB_COUNTS)}
+_TOKENS = st.one_of(
+    st.integers(-10, 10**12).map(str),
+    st.just("9" * 400),
+    st.floats().map(str),
+    st.text(string.ascii_letters, min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _edited_fixture(draw) -> str:
+    """A fixture with one edit: a header or job-table token replaced or
+    deleted, or any row deleted or duplicated."""
+    lines = list(_FIXTURE_LINES[draw(st.sampled_from(sorted(_FIXTURE_LINES)))])
+    kind = draw(st.sampled_from(["replace", "delete token", "delete row", "duplicate row"]))
+    if kind.endswith("row"):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i : i + 1] = [] if kind == "delete row" else [lines[i]] * 2
+    else:
+        i = draw(st.sampled_from(_token_rows(lines)))
+        tokens = lines[i].split()
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j : j + 1] = [draw(_TOKENS)] if kind == "replace" else []
+        lines[i] = "  ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+_J30 = read_fixture("j30_fix_a.sm")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_edited_fixture())
+@example(text=_J30.replace("   2     1        4 ", "   2     1  " + "9" * 400 + " "))
+@example(text=_J30.replace("):  32", "):  1000000000000"))
+def test_no_single_edit_escapes_the_input_error_taxonomy(text):
+    try:
+        to_network(parse_sm(text))
+    except InputError:
+        pass

@@ -321,6 +321,15 @@ def test_pairs_do_not_raise_the_variance_of_the_mean_or_the_delay_probability():
     target = float(np.quantile(plain, 0.9))  # t at plain MC's pooled q90
     for stat in (lambda x: x.mean(axis=1), lambda x: (x > target).mean(axis=1)):
         assert np.var(stat(paired), ddof=1) <= f_bound * np.var(stat(plain), ddof=1)
+    # The F bound at 40 seeds cannot tell pairs from two copies of each
+    # replicate, so also look at the pairs themselves. T is nondecreasing
+    # in every z, so T(z) and T(-z) cannot correlate positively: replicates
+    # 2m and 2m + 1 correlate at -0.24 for T and -0.05 for 1{T > q90} here
+    # (standard error about 0.011); copies would correlate at +1.
+    samples = simulate(net, models, SimulationConfig(16384, 1, 0.0)).samples
+    over = (samples > np.quantile(samples, 0.9)).astype(float)
+    for x in (samples, over):
+        assert np.corrcoef(x[0::2], x[1::2])[0, 1] < 0
 
 
 def test_buffers_kept_between_calls_never_enter_results(monkeypatch, fresh_pool):
