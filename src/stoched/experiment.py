@@ -329,16 +329,15 @@ def _scenario_forecasts(
     forecasts = {}
     for replicates, sets in distinct.items():
         cfg = replace(scenario.sim_cfg, replicate_count=replicates)
-        results = simulate_many(scenario.net, list(sets.values()), cfg, workers)
+        results = simulate_many(scenario.net, list(sets.values()), cfg, workers, critical=False)
         forecasts.update(zip(sets, map(_shared, results)))
     return [forecasts[key] for key in keys]
 
 
 def _shared(result: ForecastResult) -> ForecastResult:
-    """Cells share a forecast: read-only arrays keep one cell's on_result
-    callback from changing another cell's row."""
-    for array in (result.samples, result.critical_probability, result.critical_counts):
-        array.setflags(write=False)
+    """Cells share a forecast: a read-only sample keeps one cell's
+    on_result callback from changing another cell's row."""
+    result.samples.setflags(write=False)
     return result
 
 
@@ -368,6 +367,7 @@ def run_method(
 
     Returns the row plus the final forecast. A point method's forecast
     is one replicate whose sample is the CPM makespan of its durations.
+    Grid forecasts carry no criticality: rows never read it.
     """
     [forecast] = _scenario_forecasts(scenario, [(strategy, method)], workers)
     return _row(scenario, strategy, method, forecast), forecast

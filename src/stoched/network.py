@@ -5,10 +5,10 @@ source-to-sink path measured in activity durations. The kernel here is
 batched and activity-major: it takes an (activities, replicates) duration
 matrix, one row per activity, and walks the topological order folding
 whole predecessor (forward) or successor (backward) rows in place. That
-is what the Monte Carlo engine runs per chunk of replicates. The scalar
-compute_cpm is the single-column view of the same code path. Both return
-only what callers read: completion time, earliest finishes and the
-critical mask, with the shapes given on CpmResult.
+is what the Monte Carlo engine runs per chunk of replicates: cpm_batch,
+or its forward pass alone, finish_times, where no criticality is read.
+The scalar compute_cpm is cpm_batch's single-column view. Each returns
+only what callers read, with the shapes given on CpmResult.
 """
 
 from __future__ import annotations
@@ -113,15 +113,11 @@ def build_network(n: int, edges) -> ProjectNetwork:
     )
 
 
-def cpm_batch(
-    net: ProjectNetwork, durations: np.ndarray, es=None, ef=None, ls=None
-) -> CpmResult:
-    """Forward/backward pass for an (activities, replicates) duration matrix.
-
-    es, ef and ls, when given, are caller-owned float64 work arrays of the
-    matrix's shape. The pass overwrites every cell of them and returns ef
-    as earliest_finish.
-    """
+def finish_times(net: ProjectNetwork, durations: np.ndarray, ef, es=None) -> np.ndarray:
+    """Forward pass: the (R,) completion times of an (activities, R)
+    duration matrix. It overwrites ef, and es when given (float64 arrays
+    of the matrix's shape), with earliest finishes and starts; without es
+    each ef row folds its predecessors' maximum, then adds its duration."""
     durations = np.ascontiguousarray(durations, dtype=np.float64)
     if durations.ndim != 2 or durations.shape[0] != net.activity_count:
         raise LengthMismatch(
@@ -132,13 +128,12 @@ def cpm_batch(
     if durations.size and not (durations.min() >= 0 and durations.max() < np.inf):
         raise ValueError("durations must be finite and >= 0")
 
-    shape = durations.shape
-    es, ef, ls = (np.empty(shape) if a is None else a for a in (es, ef, ls))
-    # The first max (min) of two or more rows reads two rows, so none is
-    # copied first; the fold order is the predecessor (successor) order.
+    starts = ef if es is None else es
+    # The first max of two or more rows reads two rows, so none is copied
+    # first; the fold order is the predecessor order.
     with np.errstate(over="ignore"):
         for i in net.topo_order:
-            row, preds = es[i], net.predecessors[i]
+            row, preds = starts[i], net.predecessors[i]
             if len(preds) > 1:
                 np.maximum(ef[preds[0]], ef[preds[1]], out=row)
             else:
@@ -151,6 +146,21 @@ def cpm_batch(
     completion = ef[list(net.sinks)].max(axis=0)
     if completion.size and not completion.max() < np.inf:
         raise NonFiniteResult("a completion time overflows double precision")
+    return completion
+
+
+def cpm_batch(
+    net: ProjectNetwork, durations: np.ndarray, es=None, ef=None, ls=None
+) -> CpmResult:
+    """finish_times, then the backward pass, for an (activities, R) matrix.
+
+    es, ef and ls, when given, are caller-owned float64 work arrays of the
+    matrix's shape. The pass overwrites every cell of them and returns ef
+    as earliest_finish.
+    """
+    durations = np.ascontiguousarray(durations, dtype=np.float64)
+    es, ef, ls = (np.empty(durations.shape) if a is None else a for a in (es, ef, ls))
+    completion = finish_times(net, durations, ef, es)
 
     # Every sink is anchored at the batch completion time, so a sink that
     # finishes early carries positive float instead of defining its own

@@ -1,12 +1,14 @@
 """PSPLIB single-mode (.sm) instance ingestion.
 
-Instances are plain ASCII with star-delimited sections. Three things are
+Instances are plain ASCII with star-delimited sections. Four things are
 read: the job count from the "jobs (incl. supersource/sink )" header
-line, successor lists from the PRECEDENCE RELATIONS table, and mode-1
-durations from the REQUESTS/DURATIONS table. Resource columns and
-availabilities are skipped without validation. Lines are parsed by
-whitespace token splitting, not column offsets: the files are roughly
-column-aligned but not reliably so across generator versions.
+line, the resource counts of the RESOURCES header block, successor lists
+from the PRECEDENCE RELATIONS table, and mode-1 durations from the
+REQUESTS/DURATIONS table, whose rows must carry one request per declared
+resource when the block is there (canonical_sm writes none). Request
+values and availabilities are skipped without validation. Lines are
+parsed by whitespace token splitting, not column offsets: the files are
+roughly column-aligned but not reliably so across generator versions.
 
 Both job tables are read through _job_rows, which applies the row checks
 they share and counts job coverage; the graph is checked only where it is
@@ -30,6 +32,7 @@ from .network import ProjectNetwork, build_network
 _JOBS_MARKER = "jobs (incl."
 _PRECEDENCE_MARKER = "PRECEDENCE RELATIONS"
 _DURATIONS_MARKER = "REQUESTS/DURATIONS"
+_RESOURCE_KINDS = ("- renewable", "- nonrenewable", "- doubly constrained")
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,11 @@ class PsplibInstance:
 def parse_sm(text, instance_name: str = "") -> PsplibInstance:
     """Parse .sm text (str or bytes) into a PsplibInstance.
 
-    Raises MalformedHeader (job count, non-ASCII bytes), then per table
-    MalformedPrecedenceRow or MalformedDurationRow (the shared row checks
-    of _job_rows, then a bad successor list, or a negative duration or one
-    too large for a double) and JobCountMismatch. Graph errors
+    Raises MalformedHeader (job or resource count, non-ASCII bytes), then
+    per table MalformedPrecedenceRow or MalformedDurationRow (the shared
+    row checks of _job_rows, then a bad successor list, or a row without
+    one request per declared resource, a negative duration or one too
+    large for a double) and JobCountMismatch. Graph errors
     (CycleDetected, DuplicateEdge, InvalidEdge) come from to_network.
     """
     if isinstance(text, (bytes, bytearray)):
@@ -60,8 +64,9 @@ def parse_sm(text, instance_name: str = "") -> PsplibInstance:
     lines = text.splitlines()
 
     job_count = _parse_job_count(lines)
+    resources = _parse_resource_count(lines)
     successors = _parse_precedence(lines, job_count)
-    durations = _parse_durations(lines, job_count)
+    durations = _parse_durations(lines, job_count, resources)
 
     return PsplibInstance(
         instance_name=instance_name,
@@ -83,6 +88,22 @@ def _parse_job_count(lines: list[str]) -> int:
                 raise MalformedHeader(f"job count must be >= 1, got {n}")
             return n
     raise MalformedHeader(f"no header line containing {_JOBS_MARKER!r}")
+
+
+def _parse_resource_count(lines: list[str]) -> int | None:
+    """The header's renewable, nonrenewable and doubly constrained counts
+    summed, kinds it leaves out counting 0; None when it declares none."""
+    counts = {}
+    for line in lines:
+        kind, _, value = (part.strip() for part in line.partition(":"))
+        if kind in _RESOURCE_KINDS:
+            try:
+                counts[kind] = int(value.split()[0])
+            except (ValueError, IndexError) as exc:
+                raise MalformedHeader(f"unreadable resource count in {line!r}") from exc
+            if counts[kind] < 0:
+                raise MalformedHeader(f"negative resource count in {line!r}")
+    return sum(counts.values()) if counts else None
 
 
 def _section_rows(lines: list[str], marker: str, error_cls) -> list[tuple[int, list[str]]]:
@@ -158,11 +179,16 @@ def _parse_precedence(lines: list[str], job_count: int) -> tuple[tuple[int, ...]
     return tuple(successors[j] for j in range(1, job_count + 1))
 
 
-def _parse_durations(lines: list[str], job_count: int) -> tuple[int, ...]:
+def _parse_durations(lines: list[str], job_count: int, resources: int | None) -> tuple[int, ...]:
     durations: dict[int, int] = {}
     rows = _job_rows(lines, _DURATIONS_MARKER, MalformedDurationRow, "duration",
                      "mode, duration", job_count)
     for lineno, ints in rows:
+        if resources is not None and len(ints) != 3 + resources:
+            raise MalformedDurationRow(
+                f"line {lineno}: expected jobnr, mode, duration and {resources} "
+                f"resource requests, got {len(ints)} tokens"
+            )
         duration = ints[2]
         if duration < 0:
             raise MalformedDurationRow(f"line {lineno}: negative duration {duration}")

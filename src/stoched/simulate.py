@@ -1,47 +1,49 @@
 """Monte Carlo propagation of duration uncertainty through the network.
 
 Each replicate draws one duration per stochastic activity and runs the
-CPM kernel; completion times and per-replicate critical sets are
-aggregated into a ForecastResult. Replicates 2m and 2m + 1 are an
-antithetic pair: activity i's normal z sits at counter m*n + i of a
-stream keyed by the config seed, and the even replicate reads z, the odd
-one -z, so each pass hashes and inverts half as many normals as it uses.
-Draws are addressed by counter, and replicates are processed in
-fixed-size chunks whose results land in preallocated index-ordered
-arrays, so the output is bit-identical for any worker count. Chunks are
-4096 wide, so a pair never straddles two, and an odd replicate count
-leaves its last replicate unpaired. Criticality counts are integers and
-sum exactly.
+CPM kernel; completion times and, if read, critical sets are aggregated
+into a ForecastResult. Replicates 2m and 2m + 1 are an antithetic pair:
+activity i's normal z sits at counter m*n + i of a stream keyed by the
+config seed, and the even replicate reads z, the odd one -z, so each
+pass hashes and inverts half as many normals as it uses. Draws are
+addressed by counter, and replicates are processed in fixed-size chunks
+whose results land in preallocated index-ordered arrays, so the output
+is bit-identical for any worker count. Chunks are 4096 wide, so a pair
+never straddles two, and an odd replicate count leaves its last
+replicate unpaired. Criticality counts are integers and sum exactly.
 
 simulate_many forecasts several model sets (per-activity model lists)
-of one network from one draw pass. Every set reads the same normal at
-each (replicate, activity) counter, so they are forecast under common
-random numbers, and each chunk hashes and inverts its pairs' normals
-once for all of them. simulate is its one-set call.
+of one network from one draw pass and one CPM kernel call per chunk.
+Every set reads the same normal at each (replicate, activity) counter,
+so they are forecast under common random numbers; each chunk hashes and
+inverts its pairs' normals once for all of them, and its sets' duration
+matrices sit side by side in the rows of one (activities, sets x chunk)
+matrix, whose forward pass alone runs when no criticality is read.
+simulate is its one-set call.
 
 A call runs one worker in the calling thread and up to workers - 1 on
 helper threads of one pool that every call shares, made on first use
 and replaced by a larger one when a call needs more helpers than it
 holds. Each thread keeps one flat float64 workspace between calls,
 grown to its largest request and never shrunk; a worker views its
-prefix as one (activities, chunk) duration matrix per model set, the
-kernel's es/ef/ls arrays and one block of counters, and reuses the
-views for every chunk it takes. A thread so holds (sets + 3) x
-activities x 4096 x 8 bytes plus 512 KB of counters for its largest
-call, about 16 MB for a j120 forecast, and a call's memory does not
-grow with N. A chunk's draws are made one block of _BLOCK_ROWS
-activities at a time: the pairs' normals hashed into the second half of
-the counter block, written with their negations into the first set's
-rows of the block, exponentiated from there into each later set's rows,
-then transformed in place, all while the block is in cache. Every
-buffer cell a chunk reads was written for that chunk, so reused buffers
-never enter results, in this call or a later one. Once a chunk fails, no
-worker takes a new one, and the failure of the lowest failed chunk is
-raised: chunks are taken in index order, so every lower chunk has run.
-When the calling thread's worker returns or raises, the call hands out
-no more chunks, cancels the helpers that have not started and waits for
-the others, so it never waits on a queued helper and no helper draws
-after it returns.
+prefix as the joint duration matrix, the kernel's ef array (es, ef and
+ls with criticality), each as large, and one block of counters, and
+reuses the views for every chunk it takes. A thread so holds 2 x sets x
+activities x 4096 x 8 bytes (4 x sets x ... with criticality) plus
+512 KB of counters for its largest call, about 16 MB for a j120
+forecast, and a call's memory does not grow with N. A chunk's draws are
+made one block of _BLOCK_ROWS activities at a time: the pairs' normals
+hashed into the second half of the counter block, written with their
+negations into the first set's rows of the block, exponentiated from
+there into each later set's rows, then transformed in place, all while
+the block is in cache. Every buffer cell a chunk reads was written for
+that chunk, so reused buffers never enter results, in this call or a
+later one. Once a chunk fails, no worker takes a new one, and the
+failure of the lowest failed chunk is raised: chunks are taken in index
+order, so every lower chunk has run. When the calling thread's worker
+returns or raises, the call hands out no more chunks, cancels the
+helpers that have not started and waits for the others, so it never
+waits on a queued helper and no helper draws after it returns.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import numpy as np
 
 from .durations import DurationModel, FrozenDuration
 from .errors import LengthMismatch, NonFiniteResult
-from .network import ProjectNetwork, cpm_batch
+from .network import ProjectNetwork, cpm_batch, finish_times
 from .rng import normals, stream_key
 
 _CHUNK = 4096
@@ -85,8 +87,8 @@ class ForecastResult:
     expected_completion: float
     completion_variance: float  # population form, divisor N
     delay_probability: float  # P(T > target), strict inequality
-    critical_probability: np.ndarray  # (n,)
-    critical_counts: np.ndarray  # (n,) int64
+    critical_probability: np.ndarray | None  # (n,); None if not counted
+    critical_counts: np.ndarray | None  # (n,) int64; None if not counted
     samples: np.ndarray  # (N,)
     quantiles: dict[float, float]
     ci90_width: float
@@ -107,14 +109,18 @@ def simulate_many(
     model_sets: Sequence[list[DurationModel]],
     cfg: SimulationConfig,
     workers: int = 1,
+    *,
+    critical: bool = True,
 ) -> list[ForecastResult]:
     """One forecast per model set (a per-activity model list), all from
-    one draw pass.
+    one draw pass and one CPM pass per chunk.
 
     Each result is bit-identical to simulate(net, models, cfg, workers)
-    on its set alone. A failed call raises the failure of the lowest
-    chunk in which any set fails; in that chunk, draws are checked block
-    by block of activities, and set by set within a block.
+    on its set alone. With critical=False the pass is forward only and
+    the results carry no criticality (both fields None). A failed call
+    raises the failure of the lowest chunk in which any set fails; in
+    that chunk, draws are checked block by block of activities, and set
+    by set within a block.
     """
     n = net.activity_count
     for models in model_sets:
@@ -126,12 +132,13 @@ def simulate_many(
         return []
 
     n_rep = cfg.replicate_count
+    sets = len(model_sets)
     chunk_count = (n_rep + _CHUNK - 1) // _CHUNK
-    samples = [np.empty(n_rep) for _ in model_sets]
-    chunk_counts = [np.empty((chunk_count, n), dtype=np.int64) for _ in model_sets]
+    samples = np.empty((sets, n_rep))
+    chunk_counts = np.empty((chunk_count, sets, n), dtype=np.int64) if critical else None
     sampler = _Sampler(model_sets, cfg.seed)
     width = min(_CHUNK, n_rep)
-    matrix_count = len(model_sets) + 3
+    matrix_count = sets * (4 if critical else 2)
     pending = iter(range(chunk_count))
     failures: dict[int, NonFiniteResult] = {}  # chunk index -> what it raised
     lock = threading.Lock()
@@ -144,17 +151,21 @@ def simulate_many(
             if index is None:
                 return
             a = index * _CHUNK
-            b = min(a + _CHUNK, n_rep)
-            # a flat prefix keeps a short last chunk C-contiguous
-            matrices = workspace[: matrix_count * n * (b - a)]
-            *durations, es, ef, ls = matrices.reshape(matrix_count, n, b - a)
+            w = min(a + _CHUNK, n_rep) - a
+            # a flat prefix keeps a short last chunk C-contiguous; each
+            # matrix is (n, sets * w), the sets side by side in every row
+            matrices = workspace[: matrix_count * n * w]
+            joint, *work = matrices.reshape(-1, n, sets * w)
             counters = workspace[matrices.size :].view(np.uint64)
             try:
-                sampler.fill(durations, a, counters)
-                for j, matrix in enumerate(durations):
-                    batch = cpm_batch(net, matrix, es=es, ef=ef, ls=ls)
-                    samples[j][a:b] = batch.completion_time
-                    chunk_counts[j][index] = batch.critical_mask.sum(axis=1)
+                sampler.fill(list(joint.reshape(n, sets, w).swapaxes(0, 1)), a, counters)
+                if critical:
+                    batch = cpm_batch(net, joint, *work)
+                    completion = batch.completion_time
+                    chunk_counts[index] = batch.critical_mask.reshape(n, sets, w).sum(axis=2).T
+                else:
+                    completion = finish_times(net, joint, *work)
+                samples[:, a : a + w] = completion.reshape(sets, w)
             except NonFiniteResult as failure:
                 with lock:
                     failures[index] = failure
@@ -173,10 +184,8 @@ def simulate_many(
             raise failures[min(failures)]
     for helper in started:
         helper.result()  # a helper's own error
-    return [
-        _forecast_result(x, counts.sum(axis=0), cfg.target_completion)
-        for x, counts in zip(samples, chunk_counts)
-    ]
+    counts = chunk_counts.sum(axis=0) if critical else [None] * sets
+    return [_forecast_result(x, c, cfg.target_completion) for x, c in zip(samples, counts)]
 
 
 def _workspace(size: int) -> np.ndarray:
@@ -204,7 +213,7 @@ def _submit_helpers(task, count: int) -> list[Future]:
 
 
 def _forecast_result(
-    samples: np.ndarray, counts: np.ndarray, target: float
+    samples: np.ndarray, counts: np.ndarray | None, target: float
 ) -> ForecastResult:
     """The statistics of one model set's samples and critical counts."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -218,7 +227,7 @@ def _forecast_result(
         expected_completion=expected,
         completion_variance=variance,
         delay_probability=delay_probability_from(samples, target),
-        critical_probability=counts / samples.shape[0],
+        critical_probability=None if counts is None else counts / samples.shape[0],
         critical_counts=counts,
         samples=samples,
         quantiles=quantiles,

@@ -200,11 +200,11 @@ def test_experiment_failing_part_way_leaves_no_result_files(tmp_path, capsys, mo
     # seed 2's sampled call fails, so its cells run alone in grid order,
     # and the run fails at its none/full_framework cell, after seed 1's
     # full_framework cell has emitted a histogram.
-    def fails_for_seed_2(net, model_sets, cfg, workers=1):
+    def fails_for_seed_2(net, model_sets, cfg, workers=1, **kwargs):
         calls.append(cfg.replicate_count)
         if cfg.replicate_count > 1 and cfg.seed == stream_key(2, "mc"):
             raise OptimizationFailed("injected failure")
-        return simulate_many(net, model_sets, cfg, workers)
+        return simulate_many(net, model_sets, cfg, workers, **kwargs)
 
     monkeypatch.setattr(stoched.experiment, "simulate_many", fails_for_seed_2)
     out = tmp_path / "results"
@@ -762,6 +762,17 @@ def test_duration_too_large_for_a_double_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert out == ""
     assert err == "error: line 56: duration too large for a double\n"
+
+
+def test_duration_row_missing_a_token_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.sm"
+    bad.write_text(read_fixture("j30_fix_a.sm").replace(
+        "   2     1        4     1    4    0   10", "   2     1        1    4    0   10"
+    ))
+    code, out, err = run_cli(capsys, "parse", str(bad))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: line 56: expected jobnr, mode, duration")
 
 
 def test_huge_header_job_count_is_input_error(tmp_path, capsys):

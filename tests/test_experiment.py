@@ -496,11 +496,11 @@ def shared_matrix(shared_grid):
         simulate_many = stoched.experiment.simulate_many
         scenario_forecasts = stoched.experiment._scenario_forecasts
 
-        def count_sets(net, model_sets, cfg, workers=1):
+        def count_sets(net, model_sets, cfg, workers=1, **kwargs):
             kind = "point" if cfg.replicate_count == 1 else "sampled"
             counts[f"{kind}_calls"] += 1
             counts[f"{kind}_sets"] += len(model_sets)
-            return simulate_many(net, model_sets, cfg, workers)
+            return simulate_many(net, model_sets, cfg, workers, **kwargs)
 
         mp.setattr(stoched.experiment, "simulate_many", count_sets)
         seen = dict(counts)
@@ -612,10 +612,12 @@ def test_failing_grid_raises_the_first_failing_cells_error(j30, monkeypatch):
     for module in (stoched.experiment, stoched.simulate):
         simulate_many = vars(module)["simulate_many"]
 
-        def fails_for_seed_6(net, model_sets, cfg, workers=1, _simulate_many=simulate_many):
+        def fails_for_seed_6(
+            net, model_sets, cfg, workers=1, _simulate_many=simulate_many, **kwargs
+        ):
             if cfg.replicate_count > 1 and cfg.seed == stream_key(6, "mc"):
                 raise NonFiniteResult("seed 6")
-            return _simulate_many(net, model_sets, cfg, workers)
+            return _simulate_many(net, model_sets, cfg, workers, **kwargs)
 
         monkeypatch.setattr(module, "simulate_many", fails_for_seed_6)
     seen = []

@@ -22,6 +22,7 @@ from stoched.network import (
     compute_cpm,
     cpm_batch,
     enumerate_paths,
+    finish_times,
 )
 
 
@@ -108,6 +109,8 @@ def test_cpm_input_validation():
         cpm_batch(net, np.ones((3, 2)))
     with pytest.raises(LengthMismatch):  # replicate-major input
         cpm_batch(net, np.ones((3, 4)))
+    with pytest.raises(LengthMismatch):
+        finish_times(net, np.ones((3, 4)), np.empty((3, 4)))
     with pytest.raises(ValueError):
         compute_cpm(net, [1.0, -2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
@@ -207,6 +210,40 @@ def test_cpm_batch_caller_owned_work_arrays_change_nothing(case):
     assert reused.completion_time.tobytes() == fresh.completion_time.tobytes()
     assert reused.earliest_finish.tobytes() == fresh.earliest_finish.tobytes()
     assert np.array_equal(reused.critical_mask, fresh.critical_mask)
+
+
+def _verdict(run):
+    """What run() returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except (ValueError, NonFiniteResult) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _dag_and_durations(),
+    st.sampled_from([None, np.nan, np.inf, -np.inf, -1.0, -0.0, 1e308]),
+    st.data(),
+)
+def test_forward_only_pass_equals_cpm_batch(case, bad, data):
+    # One cell is bad, or a whole column is 1e308, which overflows exactly
+    # when the column's longest path has two activities or more.
+    net, _, columns = case
+    durations = np.array(columns).T
+    if bad is not None:
+        k = data.draw(st.integers(0, durations.shape[1] - 1))
+        rows = slice(None) if bad == 1e308 else data.draw(st.integers(0, net.activity_count - 1))
+        durations[rows, k] = bad
+    full = _verdict(lambda: cpm_batch(net, durations))
+    for es in (None, np.full(durations.shape, np.nan)):
+        ef = np.full(durations.shape, np.nan)
+        forward = _verdict(lambda: finish_times(net, durations, ef, es))
+        if isinstance(full, tuple):
+            assert forward == full
+        else:
+            assert forward.tobytes() == full.completion_time.tobytes()
+            assert ef.tobytes() == full.earliest_finish.tobytes()
 
 
 @pytest.mark.parametrize("caller_owned", [False, True])

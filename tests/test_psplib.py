@@ -136,6 +136,25 @@ def test_duration_too_large_for_a_double():
         parse_sm(text)
 
 
+def test_duration_row_missing_a_token():
+    # without its duration the row would read its first request, 1, as one
+    text = read_fixture("j30_fix_a.sm").replace(
+        "   2     1        4     1    4    0   10",
+        "   2     1        1    4    0   10",
+    )
+    with pytest.raises(MalformedDurationRow, match="^line 56: expected .* 4 resource requests, got 6"):
+        parse_sm(text)
+
+
+@pytest.mark.parametrize("count", ["x", "", "-1"])
+def test_unreadable_resource_count(count):
+    text = read_fixture("j30_fix_a.sm").replace(
+        "- nonrenewable              :  0", f"- nonrenewable              :  {count}"
+    )
+    with pytest.raises(MalformedHeader, match="resource count"):
+        parse_sm(text)
+
+
 def test_declared_job_count_mismatch():
     text = read_fixture("j30_fix_a.sm").replace(
         "jobs (incl. supersource/sink ):  32",
@@ -208,6 +227,7 @@ _J30 = read_fixture("j30_fix_a.sm")
 @given(text=_edited_fixture())
 @example(text=_J30.replace("   2     1        4 ", "   2     1  " + "9" * 400 + " "))
 @example(text=_J30.replace("):  32", "):  1000000000000"))
+@example(text=_J30.replace("   2     1        4     1 ", "   2     1        1 "))
 def test_no_single_edit_escapes_the_input_error_taxonomy(text):
     try:
         to_network(parse_sm(text))

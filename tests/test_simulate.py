@@ -498,6 +498,55 @@ def test_simulate_many_overflow_in_a_later_set_names_its_activity():
             simulate_many(net, [fine, overflowing], cfg, workers=workers)
 
 
+@pytest.mark.parametrize("n_rep", [1, 2, 4097, 8193])
+def test_forward_only_joint_pass_equals_the_full_pass(n_rep):
+    # the first set has frozen rows, the third is frozen throughout, as
+    # the point forecasts are; 4097 and 8193 end on a 1-wide chunk
+    net, mixed = _mixed_models(73)
+    other = priors_from_baselines(np.random.default_rng(74).integers(1, 9, size=17), 0.25)
+    frozen = [FrozenDuration(float(i % 4)) for i in range(17)]
+    all_sets = [mixed, other, frozen]
+    references = [_per_chunk_reference(net, m, 21, n_rep, 63) for m in all_sets]
+    cfg = SimulationConfig(replicate_count=n_rep, seed=21, target_completion=20.0)
+    for count in (1, 2, 3):
+        for workers in (1, 2, 3):
+            full = simulate_many(net, all_sets[:count], cfg, workers)
+            forward = simulate_many(net, all_sets[:count], cfg, workers, critical=False)
+            for f, g, reference in zip(full, forward, references):
+                _assert_matches(f, reference)
+                assert g.samples.tobytes() == reference[0].tobytes()
+                assert g.critical_probability is None and g.critical_counts is None
+                for name in ("expected_completion", "completion_variance",
+                             "delay_probability", "quantiles", "ci90_width"):
+                    assert getattr(g, name) == getattr(f, name), name
+
+
+def test_completion_overflow_in_a_later_set_raises_on_both_passes():
+    net = build_network(3, [(0, 1), (1, 2)])
+    fine = priors_from_baselines([2.0, 3.0, 4.0], 0.3)
+    # every draw is finite; their sum along the path is not
+    overflowing = [FrozenDuration(1e308), FrozenDuration(1e308), FrozenDuration(0.0)]
+    cfg = SimulationConfig(replicate_count=5000, seed=4, target_completion=1.0)
+    for critical in (True, False):
+        for workers in (1, 2):
+            with pytest.raises(NonFiniteResult, match="^a completion time overflows"):
+                simulate_many(net, [fine, overflowing], cfg, workers, critical=critical)
+
+
+def test_workspace_holds_two_matrices_per_set_or_four_with_criticality(monkeypatch):
+    sizes = []
+    workspace = simulate_module._workspace
+    monkeypatch.setattr(
+        simulate_module, "_workspace", lambda size: sizes.append(size) or workspace(size)
+    )
+    net, models = _mixed_models(73)
+    cfg = SimulationConfig(replicate_count=100, seed=21, target_completion=20.0)
+    counters = 16 * 2 * 51  # blocks of 16 rows, 51 pairs of 100 replicates
+    for sets, critical, matrices in ((1, True, 4), (3, True, 12), (3, False, 6)):
+        simulate_many(net, [models] * sets, cfg, critical=critical)
+        assert sizes.pop() == matrices * 17 * 100 + counters
+
+
 def _overflowing_at_top_draws(activities, monkeypatch, on_draw):
     """A diamond whose given branch activities each overflow only at
     their largest draw over 8 chunks of 64 replicates, run through a
